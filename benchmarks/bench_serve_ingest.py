@@ -109,7 +109,7 @@ def _serve(workload, db):
         sim, workload=workload, owns_store=True
     )
     runtime.open()
-    assert runtime.sharded, "bench expects the lane-parallel runtime"
+    assert runtime.lane_count == SHARDS, "bench expects one lane per shard"
     # ``repro serve`` always runs the background refresh loop; without it
     # the whole burst's fold cost lands on the first post-burst reader
     # and the freshness number measures a deployment nobody runs.  The

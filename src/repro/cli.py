@@ -520,12 +520,11 @@ def cmd_serve(args, out) -> int:
         f"{report.evaluated} pairs evaluated at startup",
         file=out,
     )
-    if runtime.sharded:
-        print(
-            f"sharded runtime: {runtime.lane_count} parallel ingest "
-            f"lanes (one per shard, routed by APPID hash)",
-            file=out,
-        )
+    print(
+        f"{runtime.lane_count} ingest lane(s) (one per shard, routed by "
+        f"APPID hash)",
+        file=out,
+    )
     try:
         server = ComplianceHTTPServer(
             runtime, host=args.host, port=args.port
@@ -693,11 +692,7 @@ def cmd_store_stats(args, out) -> int:
     if backend is None:
         backend = MemoryBackend()
     try:
-        children = (
-            list(backend.children)
-            if isinstance(backend, ShardedBackend)
-            else [backend]
-        )
+        children = backend.shard_backends()
         total_rows = 0
         total_bytes = 0
         total_cols = 0
@@ -705,14 +700,7 @@ def cmd_store_stats(args, out) -> int:
         for index, child in enumerate(children):
             rows = child.count()
             seq = child.last_seq()
-            ids = child.app_ids()
-            if ids is None:
-                known = set()
-                for row in child.iter_rows():
-                    known.add(row.app_id)
-                traces = len(known)
-            else:
-                traces = len(ids)
+            traces = len(child.app_ids())
             if (
                 isinstance(child, SQLiteBackend)
                 and child.path != ":memory:"
@@ -783,6 +771,14 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         parser.error("--db requires --backend sqlite")
     if getattr(args, "shards", 1) < 1:
         parser.error("--shards must be >= 1")
+    if (
+        args.command in ("serve", "watch")
+        and args.backend == "sqlite"
+        and not args.db
+    ):
+        # Each ingest lane forks its own connection per shard, and a
+        # ``:memory:`` database cannot be shared with a second one.
+        parser.error(f"{args.command} with --backend sqlite needs --db")
     try:
         if args.command == "simulate":
             return cmd_simulate(args, out)

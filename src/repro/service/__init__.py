@@ -2,9 +2,9 @@
 
 :class:`ComplianceRuntime` is the explicit engine behind every evaluation
 front end — store + recorder pipeline + correlation + verdict
-materializer behind one thread-safe session API.  Over a sharded store
-it splits ingest into per-shard :class:`IngestLane` pipelines
-(:mod:`repro.service.lanes`) so concurrent writers scale with shards.
+materializer behind one thread-safe session API.  It splits ingest into
+one :class:`IngestLane` pipeline per shard (:mod:`repro.service.lanes`)
+so concurrent writers scale with shards.
 :mod:`repro.service.http` serves it over stdlib HTTP (``repro serve``);
 :mod:`repro.service.transport` is how recorder clients reach it, in
 process or across the wire.

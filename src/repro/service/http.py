@@ -22,10 +22,9 @@ Handler threads speak HTTP/1.1 with keep-alive (every reply carries a
 Content-Length), so a streaming client holds one connection — and one
 handler thread — for its whole session instead of paying accept/teardown
 per batch.  The threads funnel into the runtime, which serializes them
-per ingest lane (per shard on a sharded store, one global lock
-otherwise); the server adds no state of its own beyond the shutdown
-latch.  Errors surface as JSON bodies — ``{"error": ...}`` with a
-4xx/5xx code — never as HTML tracebacks.
+per ingest lane (one per shard); the server adds no state of its own
+beyond the shutdown latch.  Errors surface as JSON bodies —
+``{"error": ...}`` with a 4xx/5xx code — never as HTML tracebacks.
 """
 
 from __future__ import annotations

@@ -1,20 +1,14 @@
-"""Per-shard ingest lanes for the sharded service runtime.
+"""Per-shard ingest lanes of the service runtime.
 
-PR 6 sharded the *store*: :class:`~repro.store.backends.sharded.ShardedBackend`
-routes each trace's rows to a child backend by a stable CRC32 hash of its
-APPID, and per-shard file locks already let independent processes append
-to different shards in parallel.  The service runtime, however, still
-serialized every ingest on one lock, so served ingest throughput stayed
-flat (or dropped) as clients were added.
-
-An :class:`IngestLane` is the runtime-side mirror of one shard: it owns a
-shard-scoped store handle, its own recorder pipeline (typing + dedup),
-and its own incremental correlation, all guarded by a per-lane lock.
-The runtime routes events to lanes with the same APPID hash the backend
-uses, so ingest calls for traces on different shards never touch shared
-state and proceed genuinely in parallel.  Cross-shard state — the
-materializer, the verdict table, snapshots — stays behind the runtime's
-global lock, which folds lane output in through the store's change feed.
+An :class:`IngestLane` is the runtime-side mirror of one shard: it owns
+a store handle of its own over that shard, its own recorder pipeline
+(typing + dedup), and its own incremental correlation, all guarded by
+its own lock.  The runtime routes events to lanes with the same APPID
+hash the backend uses, so ingest calls for traces on different shards
+never touch shared state and proceed in parallel.  An unsharded store is
+one shard with one lane.  Cross-shard state — the materializer, the
+verdict table, snapshots — stays behind the runtime's global lock, which
+folds lane output in through the store's change feed.
 
 Lane ownership rules (see EXTENDING.md for the operator-facing version):
 
@@ -63,44 +57,36 @@ class IngestLane:
 
     Args:
         index: the shard this lane mirrors.
-        store: shard-scoped store handle.  In sharded mode this is a
-            dedicated :class:`ProvenanceStore` over the shard's backend
-            (a forked SQLite handle or the shared memory child); in the
-            single-lane degenerate case it is the runtime's global store.
-        lock: the lane lock.  A fresh ``threading.Lock`` per lane in
-            sharded mode; the runtime's global ``RLock`` in single-lane
-            mode so the old fully-serialized semantics are preserved
-            exactly (re-entrancy keeps nested global→lane acquisition
-            legal).
+        store: the lane's own :class:`ProvenanceStore` over the shard (a
+            forked SQLite handle, or the shared memory backend).
         mapping: event mapping; ``None`` leaves the lane read-only.
         correlation_rules: rules run incrementally over traces this lane
             touched; empty disables correlation.
         rel_ids: the runtime's *shared* relation-id factory.  ``next()``
             is GIL-atomic, so lanes mint globally unique REL ids without
             any cross-lane locking.
-        owns_store: whether the lane owns (and must close + flush) its
-            store handle — True for forked SQLite handles only.
-        crash_tag: fault-injection point fired at each batch entry, named
-            like the sharded backend's own per-shard append points so the
-            chaos harness can crash a specific lane.
+        owns_store: whether the lane owns (and must flush + close) its
+            store handle — True for forked SQLite handles.
+
+    Each batch fires the crash point ``sharded.append.shard<index>``,
+    named like the sharded backend's own per-shard append points so the
+    chaos harness can crash a specific lane.
     """
 
     def __init__(
         self,
         index: int,
         store: ProvenanceStore,
-        lock,
         mapping=None,
         correlation_rules: Sequence = (),
         rel_ids: Optional[IdFactory] = None,
         owns_store: bool = False,
-        crash_tag: Optional[str] = None,
     ) -> None:
         self.index = index
         self.store = store
-        self.lock = lock if lock is not None else threading.Lock()
+        self.lock = threading.Lock()
         self.owns_store = owns_store
-        self.crash_tag = crash_tag
+        self.crash_tag = "sharded.append.shard%d" % index
         self.recorder = (
             RecorderClient(store, mapping) if mapping is not None else None
         )
@@ -139,13 +125,12 @@ class IngestLane:
 
     def ingest(self, events: Sequence[ApplicationEvent]) -> LaneResult:
         """Run one routed batch through this lane's pipeline."""
-        if self.crash_tag is not None:
-            # Lane appends go through the lane handle, not the sharded
-            # backend's own append path, so its per-shard crash points
-            # would never fire; re-issue them here, before any append of
-            # the batch lands (a crashed batch is all-or-nothing and a
-            # re-send after reopen dedups cleanly).
-            crash_point(self.crash_tag)
+        # Lane appends go through the lane handle, not the sharded
+        # backend's own append path, so its per-shard crash points would
+        # never fire; re-issue them here, before any append of the batch
+        # lands (a crashed batch is all-or-nothing and a re-send after
+        # reopen dedups cleanly).
+        crash_point(self.crash_tag)
         stats = self.recorder.stats
         before = (
             stats.recorded,

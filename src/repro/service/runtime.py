@@ -30,19 +30,18 @@ stream events in over a transport (:mod:`repro.service.transport`) while
 readers query verdicts that the background loop keeps fresh.  The HTTP
 front end lives in :mod:`repro.service.http`; ``repro serve`` wires both.
 
-Thread safety and the sharded runtime: over a sharded store the runtime
-splits into per-shard **ingest lanes** (:mod:`repro.service.lanes`) —
-each lane owns its shard's recorder pipeline, dedup state, and
+Thread safety: the runtime runs one **ingest lane** per shard
+(:mod:`repro.service.lanes`; an unsharded store is one shard) — each
+lane owns its shard's store handle, recorder pipeline, dedup state, and
 incremental correlation under its own lock, and events route to lanes by
 the same stable APPID hash the backend uses — so concurrent ``ingest``
 calls for different shards proceed in parallel.  The global re-entrant
 lock fences only cross-shard state: materializer refreshes, snapshots,
-shutdown, and the vector-cursor sync that folds lane output into the
-global view.  Hot reads (``verdicts``) are served from a read cache
-keyed by the materializer's transition epoch plus every lane's commit
-counter, so a quiescent read never takes a lock at all.  Over an
-unsharded store there is one lane sharing the global lock and behavior
-is exactly the pre-lane, fully serialized runtime.
+shutdown, and the sync that folds lane output into the global view.
+Hot reads (``verdicts``) are served from a read cache keyed by the
+materializer's transition epoch plus every lane's commit counter, and
+``stats`` / ``health`` read backend state and counters only, so none of
+them waits behind a refresh.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ from typing import (
 )
 
 from repro.capture.events import ApplicationEvent
-from repro.capture.recorder import RecorderClient, RecorderStats
+from repro.capture.recorder import RecorderStats
 from repro.controls.control import InternalControl
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.controls.materializer import (
@@ -76,8 +75,6 @@ from repro.errors import ServiceError
 from repro.ids import IdFactory
 from repro.service.lanes import IngestLane
 from repro.service.transport import IngestReply
-from repro.store.backends.memory import MemoryBackend
-from repro.store.backends.sharded import ShardedBackend
 from repro.store.cursor import cursor_to_wire
 from repro.store.store import ProvenanceStore
 
@@ -179,10 +176,8 @@ class ComplianceRuntime:
         #: shared relation-id factory; ``next()`` is GIL-atomic, so lanes
         #: mint globally unique REL ids without cross-lane locking.
         self._rel_ids = None  # seeded and shared out in :meth:`open`
-        #: per-shard ingest lanes (one lane over the global store when
-        #: the backend is unsharded or its shards cannot fork handles).
+        #: one ingest lane per shard, built in :meth:`open`.
         self._lanes: List[IngestLane] = []
-        self._sharded = False
         # Live transition feed (ring buffer, monotonically indexed).
         self._transitions: Deque[Tuple[int, VerdictTransition]] = deque(
             maxlen=transition_backlog
@@ -199,7 +194,7 @@ class ComplianceRuntime:
         self._stop = threading.Event()
         self.background_interval: Optional[float] = None
         #: counters surfaced by :meth:`stats` (small dedicated lock: the
-        #: sharded ingest path bumps them outside the global lock).
+        #: ingest path bumps them outside the global lock).
         self._counter_lock = threading.Lock()
         self.polls = 0
         self.ingest_batches = 0
@@ -208,22 +203,6 @@ class ComplianceRuntime:
         self.snapshots_saved = 0
         self.verdict_cache_hits = 0
         self.verdict_cache_misses = 0
-
-    @property
-    def recorder(self) -> Optional[RecorderClient]:
-        """The single-lane recorder (None before open / when sharded).
-
-        Sharded runtimes have one recorder per lane; aggregate stats are
-        in :meth:`stats` under ``"recorder"``.
-        """
-        if len(self._lanes) == 1:
-            return self._lanes[0].recorder
-        return None
-
-    @property
-    def sharded(self) -> bool:
-        """Whether ingest runs through parallel per-shard lanes."""
-        return self._sharded
 
     @property
     def lane_count(self) -> int:
@@ -239,14 +218,15 @@ class ComplianceRuntime:
         the store; the report says how much work that took.  With a
         matching snapshot on the backend only traces appended to while
         the runtime was down re-evaluate — a restarted server resumes
-        from its cursor, never from zero.
+        from its cursor, never from zero.  Raises :class:`ServiceError`
+        when a shard cannot give its lane a store handle of its own.
         """
         with self._lock:
             if self._opened:
                 raise ServiceError("runtime is already open")
-            self._opened = True
             self._seed_relation_ids()
             self._build_lanes()
+            self._opened = True
             for control in self.controls:
                 self.materializer.register(control)
             restored = self.materializer.restore()
@@ -283,64 +263,41 @@ class ComplianceRuntime:
             self._rel_ids.seed(_RELATION_PREFIX, highest + 1)
 
     def _build_lanes(self) -> None:
-        """Mirror the store's shard layout with per-shard ingest lanes.
+        """Mirror the store's shard layout with one ingest lane per shard.
 
-        Sharded mode needs an independent store handle per shard — a
-        forked SQLite connection over the shard file, or the shard's
-        shared memory child (safe under per-lane locks because lanes
-        never touch each other's children).  When any shard cannot
-        provide one (e.g. ``:memory:`` SQLite children), the runtime
-        degrades to a single lane over the global store guarded by the
-        global lock: correct, just not parallel.
+        Each lane writes through a store handle of its own: a forked
+        SQLite connection onto the shard file, or the memory backend
+        itself (safe under the lane lock: its rows only ever grow).  A
+        lane owns — flushes and closes — exactly the handles it forked.
         """
-        backend = self.store.backend
-        handles: Optional[List[Tuple[object, bool]]] = None
-        if isinstance(backend, ShardedBackend) and backend.shard_count() > 1:
-            handles = []
-            for child in backend.children:
-                if isinstance(child, MemoryBackend):
-                    handles.append((child, False))
-                    continue
-                fork = child.fork_handle()
-                if fork is None:
-                    handles = None
-                    break
-                handles.append((fork, True))
-        if handles is None:
-            self._sharded = False
-            self._lanes = [
-                IngestLane(
-                    0,
-                    self.store,
-                    self._lock,
-                    mapping=self._mapping,
-                    correlation_rules=self._correlation_rules,
-                    rel_ids=self._rel_ids,
+        children = self.store.backend.shard_backends()
+        handles = []
+        for index, child in enumerate(children):
+            handle = child.fork_handle()
+            if handle is None:
+                raise ServiceError(
+                    f"shard {index} ({child.name} backend) cannot fork a "
+                    f"store handle for its ingest lane; serve a "
+                    f"file-backed store"
                 )
-            ]
-            return
-        self._sharded = True
-        self._lanes = []
-        for index, (handle, owns) in enumerate(handles):
-            lane_store = ProvenanceStore(
-                model=self.store.model,
-                indexed=False,
-                indexed_attributes=self.store.indexed_attributes,
-                backend=handle,
-                fast_codec=self.store.codec is not None,
+            handles.append(handle)
+        self._lanes = [
+            IngestLane(
+                index,
+                ProvenanceStore(
+                    model=self.store.model,
+                    indexed=False,
+                    indexed_attributes=self.store.indexed_attributes,
+                    backend=handle,
+                    fast_codec=self.store.codec is not None,
+                ),
+                mapping=self._mapping,
+                correlation_rules=self._correlation_rules,
+                rel_ids=self._rel_ids,
+                owns_store=handle is not child,
             )
-            self._lanes.append(
-                IngestLane(
-                    index,
-                    lane_store,
-                    threading.Lock(),
-                    mapping=self._mapping,
-                    correlation_rules=self._correlation_rules,
-                    rel_ids=self._rel_ids,
-                    owns_store=owns,
-                    crash_tag="sharded.append.shard%d" % index,
-                )
-            )
+            for index, (handle, child) in enumerate(zip(handles, children))
+        ]
 
     def subscribe(self, listener: TransitionListener) -> None:
         """Receive every post-startup :class:`VerdictTransition` live."""
@@ -385,8 +342,6 @@ class ComplianceRuntime:
         # the mapping's fallback for trace-unaware systems), with the
         # same stable hash the sharded backend uses, so every lane writes
         # only rows its shard owns.
-        if not self._sharded:
-            return 0
         return self.store.shard_index(event.app_id or "unattributed")
 
     def ingest(self, events: Sequence[ApplicationEvent]) -> IngestReply:
@@ -397,23 +352,15 @@ class ComplianceRuntime:
         reader / background loop (appends only mark dirty pairs, which is
         what keeps ingest throughput independent of control count).
 
-        On a sharded runtime the batch is partitioned by home shard and
-        each partition runs under its lane's lock only — two clients
-        streaming different traces never serialize on each other.
+        The batch is partitioned by home shard and each partition runs
+        under its lane's lock only — two clients streaming traces on
+        different shards never serialize on each other.
         """
         if self._mapping is None:
             raise ServiceError(
                 "this runtime has no event mapping; ingestion is disabled"
             )
         self._require_open()
-        if not self._sharded:
-            # Single-lane runtimes keep the pre-lane contract: the whole
-            # batch (and its reply's cursor) is one critical section.
-            with self._lock:
-                return self._ingest_routed(events)
-        return self._ingest_routed(events)
-
-    def _ingest_routed(self, events: Sequence[ApplicationEvent]) -> IngestReply:
         groups: Dict[int, List[int]] = {}
         for position, event in enumerate(events):
             groups.setdefault(self._lane_for(event), []).append(position)
@@ -439,12 +386,6 @@ class ComplianceRuntime:
             self.ingest_batches += 1
             self.ingest_events += len(events)
             self.correlated_total += correlated
-        if self._sharded:
-            # Lane rows are committed but not yet folded into the global
-            # handle's cursor; the backend tip is the truthful checkpoint.
-            last_seq = self.store.backend.last_seq()
-        else:
-            last_seq = self.store.last_seq()
         return IngestReply(
             recorded=recorded,
             duplicates=duplicates,
@@ -452,7 +393,9 @@ class ComplianceRuntime:
             dropped_unmapped=dropped_unmapped,
             correlated=correlated,
             dispositions=dispositions,
-            last_seq=last_seq,
+            # Lane rows are committed but not yet folded into the global
+            # handle's cursor; the backend tip is the truthful checkpoint.
+            last_seq=self.store.backend.last_seq(),
         )
 
     def _fold_lanes_locked(self) -> int:
@@ -474,18 +417,11 @@ class ComplianceRuntime:
         return correlated
 
     def _sync_locked(self) -> SyncOutcome:
-        if self._sharded:
-            # Lanes first (their appends + correlation products must be
-            # committed), then one global fold brings the materializer's
-            # dirty tracking current across every shard.
-            correlated = self._fold_lanes_locked()
-            new_rows = self.store.sync()
-        else:
-            new_rows = self.store.sync()
-            correlated = self._lanes[0].correlate() if new_rows else 0
-            if correlated:
-                with self._counter_lock:
-                    self.correlated_total += correlated
+        # Lanes first (their appends + correlation products must be
+        # committed), then one global fold brings the materializer's
+        # dirty tracking current across every shard.
+        correlated = self._fold_lanes_locked()
+        new_rows = self.store.sync()
         refreshed = 0
         if new_rows or correlated or self.materializer.dirty_count:
             refreshed = len(self.materializer.refresh())
@@ -503,8 +439,8 @@ class ComplianceRuntime:
         backend (multi-writer recorders over a sharded store land here),
         correlates the touched traces, and refreshes every dirty
         (control, trace) pair — the generalization of the old ``watch``
-        poll body.  On a sharded runtime ``new_rows`` counts every row
-        folded into the global view, lane-ingested rows included.
+        poll body.  ``new_rows`` counts every row folded into the global
+        view, lane-ingested rows included.
         """
         with self._lock:
             self._require_open()
@@ -526,9 +462,8 @@ class ComplianceRuntime:
             return list(cached[1])
         with self._lock:
             self._require_open()
-            if self._sharded:
-                self._fold_lanes_locked()
-                self.store.sync()
+            self._fold_lanes_locked()
+            self.store.sync()
             # Snapshot the commit vector after the fold but before the
             # sweep: a lane commit that lands during the sweep bumps a
             # counter past this snapshot and correctly invalidates the
@@ -585,29 +520,26 @@ class ComplianceRuntime:
             ]
             return self._transition_seq, entries
 
-    def _stats_locked(self) -> Dict:
+    def stats(self) -> Dict:
+        """Counters for dashboards and the ``/stats`` endpoint.
+
+        Answered without the global lock — every field is either a
+        backend read or a GIL-atomic counter — so stats polling never
+        stalls behind a refresh.  Traces and rows are counted on the
+        backend, which already holds lane rows the global view has not
+        folded yet.
+        """
         lanes = self._lanes
-        if self._sharded:
-            last_seq = self.store.backend.last_seq()
-            recorder_stats = RecorderStats.aggregate(
-                (
-                    lane.recorder.stats
-                    for lane in lanes
-                    if lane.recorder is not None
-                ),
+        last_seq = self.store.backend.last_seq()
+        recorder = None
+        if self._mapping is not None:
+            recorder = RecorderStats.aggregate(
+                (lane.recorder.stats for lane in lanes),
                 last_seq=last_seq,
-            )
-            recorder = recorder_stats.as_dict() if self._mapping else None
-        else:
-            last_seq = self.store.last_seq()
-            recorder = (
-                lanes[0].recorder.stats.as_dict()
-                if lanes and lanes[0].recorder is not None
-                else None
-            )
-        payload = {
+            ).as_dict()
+        return {
             "workload": self.workload_name,
-            "traces": len(self.store.app_ids()),
+            "traces": len(self.store.backend.app_ids()),
             "rows": len(self.store),
             "shards": self.store.shard_count(),
             "last_seq": cursor_to_wire(last_seq),
@@ -628,45 +560,20 @@ class ComplianceRuntime:
                 "hits": self.verdict_cache_hits,
                 "misses": self.verdict_cache_misses,
             },
+            "lanes": [lane.counters() for lane in lanes],
         }
-        if self._sharded:
-            payload["lanes"] = [lane.counters() for lane in lanes]
-        return payload
-
-    def stats(self) -> Dict:
-        """Counters for dashboards and the ``/stats`` endpoint.
-
-        Sharded runtimes answer without the global lock — every field is
-        either a backend SQL read or a GIL-atomic counter — so stats
-        polling never stalls behind a refresh.
-        """
-        if self._sharded:
-            return self._stats_locked()
-        with self._lock:
-            return self._stats_locked()
 
     def health(self) -> Dict:
-        """Tiny liveness payload for ``/health``."""
-        if self._sharded:
-            return {
-                "status": "ok" if self._opened and not self._closed
-                else "stopped",
-                "workload": self.workload_name,
-                "traces": len(self.store.app_ids()),
-                "last_seq": cursor_to_wire(self.store.backend.last_seq()),
-            }
-        with self._lock:
-            return {
-                "status": "ok" if self._opened and not self._closed
-                else "stopped",
-                "workload": self.workload_name,
-                "traces": len(self.store.app_ids()),
-                "last_seq": cursor_to_wire(self.store.last_seq()),
-            }
+        """Tiny liveness payload for ``/health``; lock-free like stats."""
+        return {
+            "status": "ok" if self._opened and not self._closed
+            else "stopped",
+            "workload": self.workload_name,
+            "traces": len(self.store.backend.app_ids()),
+            "last_seq": cursor_to_wire(self.store.backend.last_seq()),
+        }
 
     def _save_lane_stats_locked(self) -> None:
-        if not self._sharded:
-            return
         payload = json.dumps(
             {
                 "version": 1,
@@ -685,17 +592,16 @@ class ComplianceRuntime:
 
         After this the backend alone carries everything a restarted
         runtime needs to resume: rows, auxiliary verdict state, the
-        change-feed cursor the state is current as of, and (sharded) the
-        per-lane ingest counters ``store-stats`` reports offline.
+        change-feed cursor the state is current as of, and the per-lane
+        ingest counters ``store-stats`` reports offline.
         """
         with self._lock:
             self._require_open()
-            if self._sharded:
-                # The snapshot cursor must cover lane rows already
-                # committed to the shard files, or a restart would
-                # re-evaluate traces this snapshot already verdicted.
-                self._fold_lanes_locked()
-                self.store.sync()
+            # The snapshot cursor must cover lane rows already committed
+            # to the shard files, or a restart would re-evaluate traces
+            # this snapshot already verdicted.
+            self._fold_lanes_locked()
+            self.store.sync()
             self._save_snapshot_locked()
 
     def _require_open(self) -> None:

@@ -43,6 +43,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import (
     Callable,
+    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -139,10 +140,16 @@ class StorageBackend(ABC):
     def count(self) -> int:
         """Number of rows stored."""
 
-    def app_ids(self) -> Optional[List[str]]:
-        """Distinct APPIDs in first-seen order, when the backend can compute
-        them faster than a row scan; ``None`` means "no fast path"."""
-        return None
+    def app_ids(self) -> List[str]:
+        """Distinct APPIDs in first-seen order.
+
+        The default scans the rows; backends with a cheaper path (SQLite's
+        ``GROUP BY``) override it.
+        """
+        seen: Dict[str, None] = {}
+        for row in self.iter_rows():
+            seen.setdefault(row.app_id)
+        return list(seen)
 
     def query_records(
         self, query: RecordQuery
@@ -180,11 +187,14 @@ class StorageBackend(ABC):
         A fork shares the durable medium (e.g. the SQLite file) but owns
         its own connection, write buffer, and decode cache, so one thread
         can write through the fork while others read through the original.
-        Backends without a forkable medium return ``None`` (the default);
-        callers must then fall back to sharing the original handle under a
-        lock.
+        Backends without a forkable medium return ``None`` (the default).
         """
         return None
+
+    def shard_backends(self) -> List["StorageBackend"]:
+        """The physical partitions, in shard order.  Plain backends are
+        their own single shard."""
+        return [self]
 
     def shard_count(self) -> int:
         """Number of physical partitions.  Plain backends are one shard."""

@@ -67,6 +67,11 @@ class MemoryBackend(StorageBackend):
     def count(self) -> int:
         return len(self._order)
 
+    def fork_handle(self) -> "MemoryBackend":
+        # The lists and dicts only ever grow, so a second writer thread
+        # may share them under its own lock: the handle is the backend.
+        return self
+
     def last_seq(self) -> int:
         return len(self._rows)
 

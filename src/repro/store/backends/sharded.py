@@ -131,9 +131,8 @@ class ShardedBackend(StorageBackend):
         """Direct access to one child backend (stats, targeted tests)."""
         return self._children[index]
 
-    @property
-    def children(self) -> Tuple[StorageBackend, ...]:
-        return self._children
+    def shard_backends(self) -> List[StorageBackend]:
+        return list(self._children)
 
     # -- wiring --------------------------------------------------------------
 
@@ -246,21 +245,13 @@ class ShardedBackend(StorageBackend):
         """Distinct APPIDs in shard-grouped, first-seen-per-shard order.
 
         Routing puts every APPID in exactly one shard, so concatenating
-        the per-shard lists needs no dedup.  Never returns ``None``: the
-        store treats this as the canonical trace order for sharded
-        backends, shared by indexed and index-free handles alike.
+        the per-shard lists needs no dedup.  The store treats this as the
+        canonical trace order for sharded backends, shared by indexed and
+        index-free handles alike.
         """
         result: List[str] = []
         for child in self._children:
-            ids = child.app_ids()
-            if ids is None:
-                seen = set()
-                ids = []
-                for row in child.iter_rows():
-                    if row.app_id not in seen:
-                        seen.add(row.app_id)
-                        ids.append(row.app_id)
-            result.extend(ids)
+            result.extend(child.app_ids())
         return result
 
     # -- change feed ---------------------------------------------------------

@@ -329,22 +329,9 @@ class ProvenanceStore:
         index's arrival order would differ between handles that saw the
         same rows interleave differently.
         """
-        if self._backend.shard_count() > 1:
-            fast = self._backend.app_ids()
-            if fast is not None:
-                return fast
-        if self._index is not None:
+        if self._index is not None and self._backend.shard_count() == 1:
             return self._index.app_ids()
-        fast = self._backend.app_ids()
-        if fast is not None:
-            return fast
-        seen: List[str] = []
-        known = set()
-        for row in self._backend.iter_rows():
-            if row.app_id not in known:
-                known.add(row.app_id)
-                seen.append(row.app_id)
-        return seen
+        return self._backend.app_ids()
 
     def records_by_trace(self) -> Dict[str, List[ProvenanceRecord]]:
         """trace id → its records in append order, from one backend scan.

@@ -133,6 +133,21 @@ class TestWatch:
         assert "watching 'new-position-open'" in text
         assert "pairs evaluated at startup" in text
 
+    @pytest.mark.parametrize("command", ["serve", "watch"])
+    def test_sqlite_without_db_is_rejected_before_simulating(
+        self, command, capsys
+    ):
+        # Ingest lanes fork a connection per shard; a ``:memory:``
+        # database has no second connection to give them.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "hiring", "--backend", "sqlite"])
+        assert excinfo.value.code != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines()[-1] == (
+            f"repro: error: {command} with --backend sqlite needs --db"
+        )
+
     def test_watch_catches_up_after_out_of_band_append(self, tmp_path):
         import dataclasses
 

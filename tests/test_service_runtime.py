@@ -344,54 +344,51 @@ class TestConcurrency:
         assert not runtime.background_running
 
 
-class TestShardedLanes:
-    """The sharded runtime: per-shard ingest lanes + the verdict cache.
+class _LaneContract:
+    """Per-shard ingest lanes + the verdict cache, for one store shape.
 
-    Same contract as everywhere else — served verdicts byte-identical to
-    a cold sweep — but now under lane-parallel writers, mid-stream
-    snapshots, simulated lane crashes, and cache hits.
+    Every runtime ingests through one lane per shard, so the same
+    contract — served verdicts byte-identical to a cold sweep — holds on
+    every shape under lane-parallel writers, mid-stream snapshots,
+    simulated lane crashes, restarts, and cache hits.  Subclasses pick
+    the shape with :meth:`_medium` / :meth:`_backend`.
     """
 
-    SHARDS = 4
+    SHARDS = 1
 
-    def _sharded_memory_runtime(self, workload, shards=SHARDS):
-        backend = ShardedBackend(
-            [MemoryBackend() for __ in range(shards)]
-        )
-        sim, runtime = _open_runtime(workload, backend=backend)
-        return sim, runtime
+    def _medium(self, tmp_path):
+        """What survives a restart: a memory backend or a database path."""
+        raise NotImplementedError
 
-    def _attach_sharded(self, workload, db, shards=SHARDS):
-        store = ProvenanceStore(
-            model=workload.build_model(),
-            backend=ShardedBackend.for_sqlite(
-                db, shards, threadsafe=True
-            ),
-        )
-        sim = workload.attach(store)
-        runtime = ComplianceRuntime.from_simulation(
-            sim, workload=workload, owns_store=True
-        )
-        return sim, runtime
+    def _backend(self, medium):
+        raise NotImplementedError
 
-    def test_memory_shards_share_children_without_forking(self):
+    @pytest.fixture
+    def attach(self, tmp_path):
+        """Opens a fresh runtime over this test's medium on every call,
+        so a second call is a restart over the same rows."""
+        medium = self._medium(tmp_path)
+
+        def attach(workload):
+            store = ProvenanceStore(
+                model=workload.build_model(), backend=self._backend(medium)
+            )
+            sim = workload.attach(store)
+            runtime = ComplianceRuntime.from_simulation(
+                sim, workload=workload, owns_store=True
+            )
+            return sim, runtime
+
+        return attach
+
+    def test_lane_parallel_ingest_matches_cold_sweep(self, attach):
+        """N threads × the lanes, with a mid-stream snapshot: parity."""
         workload = hiring.workload()
-        sim, runtime = self._sharded_memory_runtime(workload)
+        sim, runtime = attach(workload)
         runtime.open()
-        assert runtime.sharded
         assert runtime.lane_count == self.SHARDS
-        # Sharded runtimes expose per-lane stats, no single recorder.
-        assert runtime.recorder is None
-        assert len(runtime.stats()["lanes"]) == self.SHARDS
-        runtime.shutdown()
-
-    def test_lane_parallel_ingest_matches_cold_sweep(self):
-        """N threads × N shards, with a mid-stream snapshot: parity."""
-        workload = hiring.workload()
-        sim, runtime = self._sharded_memory_runtime(workload)
-        runtime.open()
         events = _event_stream(workload, cases=12, seed=29)
-        writers = self.SHARDS
+        writers = 4
         trace_ids = sorted({event.app_id for event in events})
         owner = {
             trace: index % writers
@@ -431,6 +428,7 @@ class TestShardedLanes:
         runtime.sync()
         stats = runtime.stats()
         # Every event landed in exactly one lane.
+        assert len(stats["lanes"]) == self.SHARDS
         assert sum(
             lane["events_routed"] for lane in stats["lanes"]
         ) == len(events)
@@ -438,9 +436,11 @@ class TestShardedLanes:
         assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
         runtime.shutdown()
 
-    def test_verdict_read_cache_hits_until_ingest_invalidates(self):
+    def test_verdict_read_cache_hits_until_ingest_invalidates(
+        self, attach
+    ):
         workload = hiring.workload()
-        sim, runtime = self._sharded_memory_runtime(workload)
+        sim, runtime = attach(workload)
         runtime.open()
         runtime.ingest(_event_stream(workload, cases=3))
         first = _served_payloads(runtime)
@@ -460,20 +460,17 @@ class TestShardedLanes:
         )
         runtime.shutdown()
 
-    def test_sharded_restart_resumes_with_zero_reevaluations(
-        self, tmp_path
-    ):
-        db = str(tmp_path / "sharded-service.db")
+    def test_sharded_restart_resumes_with_zero_reevaluations(self, attach):
         workload = hiring.workload()
         events = _event_stream(workload, cases=6)
 
-        sim1, first = self._attach_sharded(workload, db)
+        sim1, first = attach(workload)
         first.open()
-        assert first.sharded
+        assert first.lane_count == self.SHARDS
         first.ingest(events)
-        first.shutdown()  # folds lanes, snapshots, closes shard files
+        first.shutdown()  # folds lanes, snapshots, closes the store
 
-        sim2, second = self._attach_sharded(workload, db)
+        sim2, second = attach(workload)
         report = second.open()
         # The snapshot's cursor covered every lane-committed row.
         assert report.restored
@@ -486,16 +483,13 @@ class TestShardedLanes:
         assert _served_payloads(second) == _cold_sweep_payloads(sim2)
         second.shutdown()
 
-    def test_lane_crash_reopen_recovers_to_cold_sweep_parity(
-        self, tmp_path
-    ):
+    def test_lane_crash_reopen_recovers_to_cold_sweep_parity(self, attach):
         """A lane dying mid-batch loses nothing already committed; a
-        rebuilt runtime over the same shard files replays to parity."""
-        db = str(tmp_path / "crashy-service.db")
+        rebuilt runtime over the same store replays to parity."""
         workload = hiring.workload()
         events = _event_stream(workload, cases=8, seed=17)
 
-        sim1, first = self._attach_sharded(workload, db)
+        sim1, first = attach(workload)
         first.open()
         plan = FaultPlan(seed=5).crash_at(
             "sharded.append.shard0", occurrence=2
@@ -506,15 +500,139 @@ class TestShardedLanes:
                     first.ingest(events[start:start + 5])
         # Simulated process death: abandon the runtime, no shutdown.
 
-        sim2, second = self._attach_sharded(workload, db)
+        sim2, second = attach(workload)
         report = second.open()
-        assert second.sharded
+        assert second.lane_count == self.SHARDS
         # Whatever survived the crash is clean, evaluable state.
         assert report.traces >= 0
         second.ingest(events)  # full replay; dedup keeps it idempotent
         second.sync()
         assert _served_payloads(second) == _cold_sweep_payloads(sim2)
         second.shutdown()
+
+
+class TestShardedLanes(_LaneContract):
+    """The lane contract over a 4-shard SQLite store (``serve --shards
+    4``): one forked connection per shard file."""
+
+    SHARDS = 4
+
+    def _medium(self, tmp_path):
+        return str(tmp_path / "sharded-service.db")
+
+    def _backend(self, medium):
+        return ShardedBackend.for_sqlite(
+            medium, self.SHARDS, threadsafe=True
+        )
+
+    def test_memory_shards_share_children_without_forking(self):
+        workload = hiring.workload()
+        backend = ShardedBackend(
+            [MemoryBackend() for __ in range(self.SHARDS)]
+        )
+        sim, runtime = _open_runtime(workload, backend=backend)
+        runtime.open()
+        assert runtime.lane_count == self.SHARDS
+        assert len(runtime.stats()["lanes"]) == self.SHARDS
+        for lane, child in zip(runtime._lanes, backend.shard_backends()):
+            assert lane.store.backend is child
+            assert not lane.owns_store
+        runtime.ingest(_event_stream(workload, cases=4))
+        assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
+        runtime.shutdown()
+
+
+class TestMemoryLane(_LaneContract):
+    """The lane contract over one plain memory backend: the lane shares
+    the backend object, and a restart reopens that same object."""
+
+    def _medium(self, tmp_path):
+        return MemoryBackend()
+
+    def _backend(self, medium):
+        return medium
+
+
+class TestSQLiteLane(_LaneContract):
+    """The lane contract over one plain SQLite file: the lane writes
+    through a forked connection onto it."""
+
+    def _medium(self, tmp_path):
+        return str(tmp_path / "service.db")
+
+    def _backend(self, medium):
+        return SQLiteBackend(medium, threadsafe=True)
+
+
+class TestLaneHandles:
+    @pytest.mark.parametrize(
+        "backend, shard",
+        [
+            (lambda: SQLiteBackend(":memory:"), 0),
+            (
+                lambda: ShardedBackend(
+                    [MemoryBackend(), SQLiteBackend(":memory:")]
+                ),
+                1,
+            ),
+        ],
+        ids=["sqlite-memory", "sharded-mixed"],
+    )
+    def test_open_rejects_a_shard_that_cannot_fork(self, backend, shard):
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(workload, backend=backend())
+        with pytest.raises(ServiceError, match=f"shard {shard} "):
+            runtime.open()
+        # The failed open left nothing half-built behind.
+        assert runtime.lane_count == 0
+        with pytest.raises(ServiceError, match="not open"):
+            runtime.verdicts()
+        sim.store.close()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_reads_do_not_wait_for_the_global_lock(self, tmp_path, shards):
+        workload = hiring.workload()
+        db = str(tmp_path / "reads.db")
+        backend = (
+            SQLiteBackend(db, threadsafe=True)
+            if shards == 1
+            else ShardedBackend.for_sqlite(db, shards, threadsafe=True)
+        )
+        sim, runtime = _open_runtime(workload, backend=backend)
+        runtime.open()
+        runtime.ingest(_event_stream(workload, cases=4))
+        warm = _served_payloads(runtime)  # fills the read cache
+        held = threading.Event()
+        release = threading.Event()
+
+        def hold():
+            with runtime._lock:
+                held.set()
+                release.wait(10.0)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        assert held.wait(5.0)
+        answers = {}
+
+        def read():
+            answers["stats"] = runtime.stats()
+            answers["health"] = runtime.health()
+            answers["verdicts"] = _served_payloads(runtime)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        reader.join(timeout=1.0)
+        finished = not reader.is_alive()
+        release.set()
+        holder.join()
+        reader.join()
+        assert finished, "a read waited behind the global lock"
+        assert answers["stats"]["traces"] == 4
+        assert len(answers["stats"]["lanes"]) == shards
+        assert answers["health"]["status"] == "ok"
+        assert answers["verdicts"] == warm
+        runtime.shutdown()
 
 
 class TestTransportRecorder:

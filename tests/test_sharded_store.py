@@ -86,7 +86,7 @@ class TestRouting:
         store.flush()
         for app_id in ("App01", "App02"):
             home = backend.shard_index(app_id)
-            for index, child in enumerate(backend.children):
+            for index, child in enumerate(backend.shard_backends()):
                 rows = [
                     r for r in child.iter_rows() if r.app_id == app_id
                 ]
@@ -98,7 +98,7 @@ class TestRouting:
         paths = [sqlite_shard_path(base, i) for i in range(3)]
         assert len(set(paths)) == 3
         backend = ShardedBackend.for_sqlite(base, 3)
-        assert [child.path for child in backend.children] == paths
+        assert [child.path for child in backend.shard_backends()] == paths
         backend.close()
 
     def test_empty_shard_list_rejected(self):
@@ -178,7 +178,7 @@ class TestCompositeFeed:
         cursor = store.last_seq()
         assert isinstance(cursor, VectorCursor)
         assert cursor.seqs == tuple(
-            child.count() for child in backend.children
+            child.count() for child in backend.shard_backends()
         )
         assert cursor_total(cursor) == 36
         store.close()
