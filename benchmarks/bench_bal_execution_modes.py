@@ -1,4 +1,4 @@
-"""BAL execution modes — interpreted vs compiled vs compiled+jobs.
+"""BAL execution modes — interpreted vs compiled.
 
 The on-demand query frontend of §II.A re-runs full sweeps (every control
 × every trace) whenever freshness is wanted, so its steady-state cost is
@@ -9,9 +9,7 @@ hiring workload for the sweep mechanisms stacked in
 - **interpret, rebuilt contexts** — the pre-compilation baseline: AST
   interpretation, every sweep rebuilds every trace graph,
 - **interpret, shared contexts** — per-trace frames cached across sweeps,
-- **compiled, shared contexts** — closure-codegen rule execution on top,
-- **compiled + jobs=N** — the forked parallel sweep (fork cost dominates
-  at this scale; the row shows when *not* to pass ``--jobs``).
+- **compiled, shared contexts** — closure-codegen rule execution on top.
 
 Every mode must produce identical compliance rows — the sweep mechanisms
 change cost, never semantics — and the compiled+shared steady state must
@@ -33,16 +31,14 @@ from repro.reporting.tables import render_table
 TINY = os.environ.get("BAL_BENCH_SCALE") == "tiny"
 CASES = 30 if TINY else 300
 SWEEPS = 5
-JOBS = 2 if TINY else 4
 # Full scale must hit the 2x acceptance bar; the tiny CI smoke run only
 # guards the sign of the comparison (noise swamps ratios at 30 traces).
 MIN_SPEEDUP = 1.0 if TINY else 2.0
 
 MODES = (
-    ("interpret, rebuilt contexts", "interpret", False, None),
-    ("interpret, shared contexts", "interpret", True, None),
-    ("compiled, shared contexts", "compiled", True, None),
-    (f"compiled, shared, jobs={JOBS}", "compiled", True, JOBS),
+    ("interpret, rebuilt contexts", "interpret", False),
+    ("interpret, shared contexts", "interpret", True),
+    ("compiled, shared contexts", "compiled", True),
 )
 
 
@@ -61,7 +57,7 @@ def _normalize(results):
     ]
 
 
-def _sweep_times(sim, execution_mode, share_contexts, jobs):
+def _sweep_times(sim, execution_mode, share_contexts):
     # incremental=False: this bench prices the *evaluation* mechanisms, so
     # every sweep must actually re-evaluate every pair.  Verdict
     # memoization (which would make warm re-sweeps near-free) is measured
@@ -77,7 +73,7 @@ def _sweep_times(sim, execution_mode, share_contexts, jobs):
     results = None
     for __ in range(SWEEPS):
         start = time.perf_counter()
-        results = evaluator.run(sim.controls, jobs=jobs)
+        results = evaluator.run(sim.controls)
         times.append(time.perf_counter() - start)
     return times, results
 
@@ -91,8 +87,8 @@ def test_bal_execution_modes(benchmark, artifact):
 
     measured = []
     reference = None
-    for label, execution_mode, share_contexts, jobs in MODES:
-        times, results = _sweep_times(sim, execution_mode, share_contexts, jobs)
+    for label, execution_mode, share_contexts in MODES:
+        times, results = _sweep_times(sim, execution_mode, share_contexts)
         normalized = _normalize(results)
         if reference is None:
             reference = normalized
@@ -106,20 +102,6 @@ def test_bal_execution_modes(benchmark, artifact):
     assert speedup >= MIN_SPEEDUP, (
         f"compiled+shared sweep is {speedup:.2f}x the interpreted baseline; "
         f"required >= {MIN_SPEEDUP}x at {CASES} traces"
-    )
-
-    # Parallel-sweep regression guard: ``jobs=N`` may not lose to the
-    # serial compiled sweep by more than a 20% noise envelope.  Below the
-    # measured break-even point the evaluator is expected to keep the
-    # sweep serial itself (the fallback counts as passing) — this is what
-    # made fork-per-sweep a 2x regression at small scales.
-    serial_best = measured[2][1]
-    jobs_best = measured[3][1]
-    assert jobs_best <= serial_best * 1.2, (
-        f"jobs={JOBS} sweep ({jobs_best * 1000:.1f}ms) is more than 20% "
-        f"slower than the serial compiled sweep "
-        f"({serial_best * 1000:.1f}ms) at {CASES} traces; the break-even "
-        f"fallback should have kept it serial"
     )
 
     columns = ("mode", "best sweep", "median sweep", "vs baseline")

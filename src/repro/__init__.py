@@ -41,7 +41,6 @@ from repro.model import (
     TaskRecord,
 )
 from repro.store import (
-    ContinuousQuery,
     ProvenanceStore,
     RecordQuery,
     xpath_lite,
@@ -103,7 +102,6 @@ __all__ = [
     "ComplianceEvaluator",
     "ComplianceResult",
     "ComplianceStatus",
-    "ContinuousQuery",
     "ControlAuthoringTool",
     "ControlDeployment",
     "ControlSeverity",

@@ -93,17 +93,25 @@ def event_to_wire(event: ApplicationEvent) -> Dict:
 
 
 def event_from_wire(payload: Dict) -> ApplicationEvent:
-    """Rebuild an event dumped by :func:`event_to_wire`."""
+    """Rebuild an event dumped by :func:`event_to_wire`.
+
+    Raises ``KeyError``/``ValueError``/``TypeError`` on a malformed
+    event, including a ``payload`` field that is not a JSON object.
+    """
+    fields = payload.get("payload")
+    if fields is None:
+        fields = {}
+    elif not isinstance(fields, dict):
+        raise TypeError(
+            f"event payload must be an object, not {type(fields).__name__}"
+        )
     return ApplicationEvent(
         event_id=str(payload["event_id"]),
         source=EventSource(payload["source"]),
         kind=str(payload["kind"]),
         timestamp=int(payload.get("timestamp", 0)),
         app_id=str(payload.get("app_id", "")),
-        payload={
-            str(k): str(v)
-            for k, v in (payload.get("payload") or {}).items()
-        },
+        payload={str(k): str(v) for k, v in fields.items()},
     )
 
 

@@ -153,14 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "walks the AST every evaluation (the reference semantics)"
             ),
         )
-        p.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help=(
-                "evaluate the compliance sweep with N worker processes "
-                "(fork-based; falls back to serial where fork is "
-                "unavailable)"
-            ),
-        )
 
     check = sub.add_parser(
         "check", help="simulate, evaluate controls, print the dashboard"
@@ -417,7 +409,7 @@ def cmd_check(args, out) -> int:
                 materializer.register(control)
             restored = materializer.restore()
             before = materializer.refreshes
-            results = evaluator.run(sim.controls, jobs=args.jobs)
+            results = evaluator.run(sim.controls)
             materializer.save()
             evaluated = materializer.refreshes - before
             origin = (
@@ -430,7 +422,7 @@ def cmd_check(args, out) -> int:
                 file=out,
             )
         else:
-            results = evaluator.run(sim.controls, jobs=args.jobs)
+            results = evaluator.run(sim.controls)
         dashboard = ComplianceDashboard()
         for control in sim.controls:
             dashboard.register_control(control)
@@ -611,7 +603,7 @@ def cmd_report(args, out) -> int:
             observable_types=sim.observable_types,
             execution_mode=args.execution_mode,
         )
-        results = evaluator.run(sim.controls, jobs=args.jobs)
+        results = evaluator.run(sim.controls)
         builder = AuditReportBuilder(sim.store, sim.controls)
         print(builder.build(results), file=out)
         return 0

@@ -17,28 +17,17 @@ and the evaluator's public entry points read it —
 - :meth:`check_trace` (on-demand) is a targeted refresh of one pair,
 - deployed controls subscribe to the same table's transition deltas.
 
-Underneath, three sweep-speed mechanisms stack:
+Underneath, two sweep-speed mechanisms stack:
 
 - **shared evaluation contexts** — each trace's graph and XOM wrapping are
   built once (a :class:`~repro.brms.bal.evaluate.TraceFrame`), cached, and
   invalidated per trace when the store appends records to that trace,
 - **compiled rule execution** — the engine defaults to the closure-codegen
-  back end (``execution_mode="compiled"``),
-- **parallel sweeps** — ``run(controls, jobs=N)`` spreads the *dirty*
-  trace partition over a persistent forked worker pool, byte-identical to
-  the serial sweep.  The pool forks once and is fed per-sweep record
-  deltas; a measured break-even test keeps small sweeps serial (so
-  ``jobs=N`` is never slower than ``jobs=1``), and platforms without
-  ``fork`` fall back to serial with a warning.
+  back end (``execution_mode="compiled"``).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-import warnings
-import weakref
 from typing import (
     Dict,
     FrozenSet,
@@ -57,39 +46,11 @@ from repro.brms.vocabulary import Vocabulary
 from repro.brms.xom import ExecutableObjectModel
 from repro.controls.control import InternalControl
 from repro.controls.materializer import VerdictMaterializer
-from repro.faults.points import crash_point
 from repro.controls.status import ComplianceResult, ComplianceStatus
 from repro.graph.build import build_trace_graph, graph_from_records
 from repro.graph.graph import ProvenanceGraph
 from repro.model.records import ProvenanceRecord
-from repro.store.cursor import cursor_distance
 from repro.store.store import ProvenanceStore
-
-# State a sweep pool shares with its forked workers.  Set immediately
-# before forking, inherited by the children via copy-on-write (nothing is
-# pickled, so closures, SQLite-decoded records and virtual BOM getters all
-# travel for free), cleared right after the fork.
-_POOL_STATE: Optional[Tuple] = None
-
-# Cost-model priors, replaced by measurements as soon as a pool exists:
-# creating a pool (fork + snapshot + prime) and dispatching one task batch.
-_STARTUP_PRIOR = 0.08
-_DISPATCH_PRIOR = 0.004
-#: last measured pool startup / dispatch round-trip on this machine.
-_measured_startup: Optional[float] = None
-_measured_dispatch: Optional[float] = None
-
-#: a parallel sweep must be predicted to save at least this multiple of its
-#: fixed overhead before it forks/dispatches — below the threshold the
-#: sweep silently runs serially, which is what keeps ``jobs=N`` from ever
-#: losing to ``jobs=1``.
-_BREAKEVEN_MARGIN = 2.0
-#: a persistent pool serves many sweeps; its startup cost is charged to the
-#: break-even test amortized over this many expected sweeps.
-_STARTUP_AMORTIZATION = 4
-#: re-fork the pool (fresh snapshot) once the shipped delta outgrows this
-#: fraction of the inherited snapshot.
-_REBASE_FRACTION = 0.2
 
 
 def _check_with_frame(
@@ -101,9 +62,9 @@ def _check_with_frame(
 ) -> ComplianceResult:
     """One (control, trace) check against a prebuilt frame.
 
-    The single code path every evaluation mode funnels through — serial,
-    memoized, and forked checks produce rows from exactly this function,
-    which is what makes their outputs byte-identical.
+    The single code path every evaluation mode funnels through — direct
+    and memoized checks produce rows from exactly this function, which is
+    what makes their outputs byte-identical.
     """
     outcome = engine.evaluate(
         control.compiled,
@@ -116,11 +77,6 @@ def _check_with_frame(
     result.control_name = control.name
     result.checked_at = frame.checked_at
     return result
-
-
-def _pool_noop(_arg) -> None:
-    """Warm-up task: measures the pool's dispatch round-trip."""
-    return None
 
 
 def referenced_attributes(
@@ -151,96 +107,6 @@ def referenced_attributes(
         if not resolved:
             return None
     return frozenset(needed)
-
-
-def _sweep_task(payload) -> List[ComplianceResult]:
-    """Worker body: evaluate every control against a trace-id partition.
-
-    *payload* is ``(trace_ids, delta)`` where *delta* maps trace id → the
-    records appended after the worker's inherited snapshot was taken; the
-    parent ships exactly those (they are plain frozen dataclasses, cheap to
-    pickle), so a long-lived pool evaluates current data without re-forking.
-    """
-    trace_ids, delta = payload
-    engine, controls, grouped, observable_types = _POOL_STATE
-    results: List[ComplianceResult] = []
-    for trace_id in trace_ids:
-        records = grouped.get(trace_id, ())
-        extra = delta.get(trace_id)
-        if extra:
-            records = list(records) + extra
-        frame = TraceFrame(graph_from_records(records, name=trace_id))
-        for control in controls:
-            results.append(
-                _check_with_frame(
-                    engine, control, frame, None, observable_types
-                )
-            )
-    return results
-
-
-class _SweepPool:
-    """A persistent fork pool bound to one evaluator's engine + controls.
-
-    Workers inherit the engine, the controls, and a full store snapshot at
-    fork time; each sweep ships only the per-trace record delta appended
-    since.  The pool survives across sweeps (fork-per-sweep is what made
-    ``jobs=N`` slower than serial) and is disposed when the control set
-    changes, the delta outgrows the snapshot, or the evaluator goes away.
-    """
-
-    def __init__(
-        self,
-        context,
-        evaluator: "ComplianceEvaluator",
-        controls: Sequence[InternalControl],
-        jobs: int,
-    ) -> None:
-        global _POOL_STATE, _measured_startup, _measured_dispatch
-        self.jobs = jobs
-        self.controls_key = tuple(id(control) for control in controls)
-        self.base_seq = evaluator.store.last_seq()
-        # Death here leaves no pool behind — the crash model checker uses
-        # this point to assert a sweep killed at worker startup cannot
-        # corrupt the verdict table.
-        crash_point("evaluator.pool.worker_start")
-        started = time.perf_counter()
-        # Workers only run these controls, so their inherited snapshot can
-        # be projected down to the columns the controls actually read.
-        grouped, __ = evaluator._grouped_records(
-            evaluator._projection_for(controls)
-        )
-        self.trace_sizes = {t: len(v) for t, v in grouped.items()}
-        self.snapshot_size = sum(self.trace_sizes.values())
-        _POOL_STATE = (
-            evaluator.engine,
-            tuple(controls),
-            grouped,
-            evaluator.observable_types,
-        )
-        try:
-            self.pool = context.Pool(processes=jobs)
-        finally:
-            _POOL_STATE = None
-        self.pool.map(_pool_noop, range(jobs))
-        self.startup_cost = time.perf_counter() - started
-        dispatched = time.perf_counter()
-        self.pool.map(_pool_noop, range(jobs))
-        self.dispatch_cost = time.perf_counter() - dispatched
-        _measured_startup = self.startup_cost
-        _measured_dispatch = self.dispatch_cost
-        self._disposed = False
-
-    def map(self, payloads) -> List[List[ComplianceResult]]:
-        return self.pool.map(_sweep_task, payloads)
-
-    def dispose(self) -> None:
-        """Terminate the workers.  Idempotent."""
-        if self._disposed:
-            return
-        self._disposed = True
-        self.pool.terminate()
-        self.pool.join()
 
 
 class ComplianceEvaluator:
@@ -287,24 +153,9 @@ class ComplianceEvaluator:
         self._control_projections: Dict[
             int, Tuple[InternalControl, Optional[FrozenSet[str]]]
         ] = {}
-        #: lazy-projection policy: ``"auto"`` materializes only the
-        #: columns a sweep's controls reference when the backend can
-        #: project; ``"never"`` forces full records (oracle baseline).
-        self.projection_mode = "auto"
         #: sweeps whose frames were built from projected records.
         self.projected_sweeps = 0
         self.graph_builds = 0  # trace graphs constructed (regression metric)
-        #: parallel-sweep policy: ``"auto"`` engages the worker pool only
-        #: when the measured break-even test predicts a win; ``"always"`` /
-        #: ``"never"`` force the decision (tests and benchmarks).
-        self.parallel_mode = "auto"
-        #: sweeps where jobs>1 was requested but the break-even test (or a
-        #: pool failure) kept evaluation serial.
-        self.parallel_fallbacks = 0
-        #: parallel sweeps actually dispatched to the pool.
-        self.parallel_sweeps = 0
-        self._sweep_pool: Optional[_SweepPool] = None
-        self._pair_cost: Optional[float] = None  # EMA, seconds per pair
         if share_contexts:
             # Frame invalidation must run before the materializer's dirty
             # marking (observers fire in subscription order), so a refresh
@@ -334,8 +185,6 @@ class ComplianceEvaluator:
         self, controls: Sequence[InternalControl]
     ) -> Optional[FrozenSet[str]]:
         """Union of the controls' attribute read sets; None = unbounded."""
-        if self.projection_mode == "never":
-            return None
         needed: Set[str] = set()
         for control in controls:
             key = id(control)
@@ -486,22 +335,9 @@ class ComplianceEvaluator:
         frame = self._frame_for(
             trace_id, needed=self._projection_for((control,))
         )
-        started = time.perf_counter()
-        result = _check_with_frame(
+        return _check_with_frame(
             self.engine, control, frame, parameters, self.observable_types
         )
-        self._note_pair_cost(time.perf_counter() - started, 1)
-        return result
-
-    def _note_pair_cost(self, seconds: float, pairs: int) -> None:
-        """Fold a serial evaluation measurement into the per-pair EMA."""
-        if pairs <= 0:
-            return
-        sample = seconds / pairs
-        if self._pair_cost is None:
-            self._pair_cost = sample
-        else:
-            self._pair_cost = 0.5 * self._pair_cost + 0.5 * sample
 
     # -- single control -----------------------------------------------------
 
@@ -559,7 +395,6 @@ class ComplianceEvaluator:
         self,
         controls: Sequence[InternalControl],
         trace_ids: Optional[Iterable[str]] = None,
-        jobs: Optional[int] = None,
     ) -> List[ComplianceResult]:
         """Check every control against every trace; rows in (trace,
         control) order.
@@ -569,26 +404,10 @@ class ComplianceEvaluator:
         controls never swept — and reads everything else from the table,
         byte-identical to a cold full sweep.  A cold sweep materializes
         all its frames from one sequential backend scan.
-
-        Args:
-            jobs: >1 partitions the *dirty* trace set across that many
-                forked worker processes (full sweeps only; falls back to
-                serial, with a warning, where the ``fork`` start method is
-                unavailable).  Rows come back in the same order as the
-                serial sweep.
         """
         if self.materializer is not None:
-            return self.materializer.sweep(
-                controls, trace_ids=trace_ids, jobs=jobs
-            )
+            return self.materializer.sweep(controls, trace_ids=trace_ids)
         results: List[ComplianceResult] = []
-        if jobs is not None and jobs > 1 and trace_ids is None:
-            parallel = self.evaluate_forked(
-                controls, self.store.app_ids(), jobs
-            )
-            if parallel is not None:
-                return parallel
-        started = time.perf_counter()
         if trace_ids is None and self.store.indexed:
             projection = self._projection_for(controls)
             grouped = None
@@ -631,249 +450,7 @@ class ComplianceEvaluator:
                             self.observable_types,
                         )
                     )
-        # The serial sweep is the break-even measurement for the next one.
-        self._note_pair_cost(time.perf_counter() - started, len(results))
         return results
-
-    def shutdown_pool(self) -> None:
-        """Terminate the persistent sweep pool, if one is running."""
-        if self._sweep_pool is not None:
-            crash_point("evaluator.pool.worker_teardown")
-            self._sweep_pool.dispose()
-            self._sweep_pool = None
-
-    def _parallel_worthwhile(
-        self,
-        controls: Sequence[InternalControl],
-        pairs: int,
-        jobs: int,
-    ) -> bool:
-        """The measured break-even test for one sweep.
-
-        Predicts the serial cost from the per-pair EMA and compares the
-        parallel saving against the fixed overhead (pool startup amortized
-        over its expected lifetime, plus the measured dispatch round-trip).
-        With no measurement yet the sweep stays serial — that first serial
-        sweep *is* the measurement.
-        """
-        if self.parallel_mode == "always":
-            return True
-        if self.parallel_mode == "never" or jobs < 2:
-            return False
-        if self._pair_cost is None:
-            return False
-        serial_estimate = pairs * self._pair_cost
-        pool = self._sweep_pool
-        reusable = (
-            pool is not None
-            and pool.controls_key == tuple(id(c) for c in controls)
-            and jobs <= pool.jobs
-        )
-        if reusable:
-            overhead = pool.dispatch_cost
-        else:
-            startup = _measured_startup or _STARTUP_PRIOR
-            dispatch = _measured_dispatch or _DISPATCH_PRIOR
-            overhead = startup / _STARTUP_AMORTIZATION + dispatch
-        savings = serial_estimate * (1.0 - 1.0 / jobs)
-        return savings > _BREAKEVEN_MARGIN * overhead
-
-    def _ensure_pool(
-        self, context, controls: Sequence[InternalControl], jobs: int
-    ) -> _SweepPool:
-        """The persistent pool for (engine, controls), re-forked when the
-        control set changed, more workers are wanted, or the shipped delta
-        outgrew the inherited snapshot."""
-        pool = self._sweep_pool
-        controls_key = tuple(id(control) for control in controls)
-        if pool is not None:
-            delta_size = cursor_distance(
-                self.store.last_seq(), pool.base_seq
-            )
-            stale = (
-                pool.controls_key != controls_key
-                or jobs > pool.jobs
-                or delta_size
-                > max(1000, _REBASE_FRACTION * pool.snapshot_size)
-            )
-            if stale:
-                pool.dispose()
-                pool = None
-        if pool is None:
-            pool = _SweepPool(context, self, controls, jobs)
-            self._sweep_pool = pool
-            # The workers die with the evaluator even when nobody calls
-            # shutdown_pool (each pool gets its own finalizer).
-            weakref.finalize(self, pool.dispose)
-        return pool
-
-    def evaluate_forked(
-        self,
-        controls: Sequence[InternalControl],
-        trace_ids: Sequence[str],
-        jobs: int,
-    ) -> Optional[List[ComplianceResult]]:
-        """Evaluate every control over *trace_ids* across pooled workers.
-
-        Returns None — telling the caller to evaluate serially — when
-        forking cannot help (fewer than two traces, or the break-even test
-        predicts the serial sweep wins) or cannot run (platforms without
-        the ``fork`` start method get a warning; the sweep still completes
-        serially).
-
-        Workers never touch the storage backend (no SQLite connection
-        crosses the fork): they read the snapshot inherited when the
-        persistent pool was forked, plus the per-trace delta of records
-        appended since, shipped with each task.
-        """
-        if len(trace_ids) < 2:
-            return None
-        if not hasattr(os, "fork"):
-            warnings.warn(
-                "parallel sweep requested (jobs>1) but os.fork is "
-                "unavailable on this platform; evaluating serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:  # spawn-only platform
-            warnings.warn(
-                "parallel sweep requested (jobs>1) but the 'fork' "
-                "multiprocessing start method is unavailable; evaluating "
-                "serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return None
-        jobs = min(jobs, len(trace_ids))
-        pairs = len(trace_ids) * len(controls)
-        if not self._parallel_worthwhile(controls, pairs, jobs):
-            self.parallel_fallbacks += 1
-            return None
-        sharded = self.store.shard_count() > 1
-        try:
-            pool = self._ensure_pool(context, controls, jobs)
-            delta = self._delta_by_trace(pool.base_seq, set(trace_ids))
-            if sharded:
-                chunks = self._shard_chunks(trace_ids, pool, delta, jobs)
-            else:
-                chunks = self._cost_chunks(trace_ids, pool, delta, jobs)
-            payloads = [
-                (
-                    chunk,
-                    {t: delta[t] for t in chunk if t in delta},
-                )
-                for chunk in chunks
-            ]
-            parts = pool.map(payloads)
-        except Exception as exc:  # pool died (OOM, signal): finish serially
-            warnings.warn(
-                f"parallel sweep failed ({exc!r}); evaluating serially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self.shutdown_pool()
-            self.parallel_fallbacks += 1
-            return None
-        self.parallel_sweeps += 1
-        results = [result for part in parts for result in part]
-        if sharded:
-            # Shard assignments are not contiguous in trace order, so
-            # reassemble the canonical (trace, control) serial order.
-            by_key = {
-                (r.trace_id, r.control_name): r for r in results
-            }
-            results = [
-                by_key[(trace_id, control.name)]
-                for trace_id in trace_ids
-                for control in controls
-            ]
-        return results
-
-    def _delta_by_trace(
-        self, base_seq, wanted: Set[str]
-    ) -> Dict[str, List[ProvenanceRecord]]:
-        """Records appended after cursor *base_seq*, per wanted trace."""
-        delta: Dict[str, List[ProvenanceRecord]] = {}
-        for __, record in self.store.changes_since(base_seq):
-            if record.app_id in wanted:
-                delta.setdefault(record.app_id, []).append(record)
-        return delta
-
-    def _cost_chunks(
-        self,
-        trace_ids: Sequence[str],
-        pool: _SweepPool,
-        delta: Dict[str, List[ProvenanceRecord]],
-        jobs: int,
-    ) -> List[List[str]]:
-        """Contiguous chunks balanced by estimated per-trace cost.
-
-        Cost ∝ record count (snapshot + delta) — evaluation and frame
-        building both scale with trace size.  Contiguity keeps the
-        concatenated results in serial sweep order.
-        """
-        costs = [
-            1
-            + pool.trace_sizes.get(trace_id, 0)
-            + len(delta.get(trace_id, ()))
-            for trace_id in trace_ids
-        ]
-        total = sum(costs)
-        target = total / jobs
-        chunks: List[List[str]] = []
-        current: List[str] = []
-        accumulated = 0.0
-        for trace_id, cost in zip(trace_ids, costs):
-            current.append(trace_id)
-            accumulated += cost
-            if accumulated >= target and len(chunks) < jobs - 1:
-                chunks.append(current)
-                current = []
-                accumulated = 0.0
-        if current:
-            chunks.append(current)
-        return chunks
-
-    def _shard_chunks(
-        self,
-        trace_ids: Sequence[str],
-        pool: _SweepPool,
-        delta: Dict[str, List[ProvenanceRecord]],
-        jobs: int,
-    ) -> List[List[str]]:
-        """Whole-shard work assignments for a sharded store.
-
-        Traces sharing a shard share a partition — the natural unit of
-        locality for a scatter-gather sweep — so each worker gets whole
-        shards, packed greedily (heaviest shard first onto the lightest
-        worker) by the same record-count cost model as
-        :meth:`_cost_chunks`.  The caller reassembles canonical order
-        afterwards, so chunks need not be contiguous.
-        """
-        by_shard: Dict[int, List[str]] = {}
-        shard_cost: Dict[int, int] = {}
-        for trace_id in trace_ids:
-            shard = self.store.shard_index(trace_id)
-            by_shard.setdefault(shard, []).append(trace_id)
-            shard_cost[shard] = (
-                shard_cost.get(shard, 0)
-                + 1
-                + pool.trace_sizes.get(trace_id, 0)
-                + len(delta.get(trace_id, ()))
-            )
-        workers: List[List[str]] = [[] for _ in range(jobs)]
-        loads = [0] * jobs
-        # Heaviest shard first; ties break on shard index for determinism.
-        for shard in sorted(
-            by_shard, key=lambda s: (-shard_cost[s], s)
-        ):
-            lightest = loads.index(min(loads))
-            workers[lightest].extend(by_shard[shard])
-            loads[lightest] += shard_cost[shard]
-        return [chunk for chunk in workers if chunk]
 
     # -- reporting ------------------------------------------------------------------
 

@@ -220,21 +220,6 @@ class VerdictMaterializer:
             seen.setdefault(trace_id)
         return list(seen)
 
-    def dirty_traces_by_shard(self) -> Dict[int, List[str]]:
-        """Dirty traces grouped by home shard (FIFO within each shard).
-
-        The scatter-gather view of the dirty set: each shard's list is an
-        independent work unit — its traces share a partition and nothing
-        outside it — which is how the forked sweep assigns whole shards
-        to workers.  Unsharded stores report everything under shard 0.
-        """
-        grouped: Dict[int, List[str]] = {}
-        for trace_id in self.dirty_traces():
-            grouped.setdefault(
-                self.store.shard_index(trace_id), []
-            ).append(trace_id)
-        return grouped
-
     # -- listeners -----------------------------------------------------------
 
     def subscribe(self, listener: TransitionListener) -> None:
@@ -359,15 +344,14 @@ class VerdictMaterializer:
         self,
         controls: Sequence[InternalControl],
         trace_ids: Optional[Iterable[str]] = None,
-        jobs: Optional[int] = None,
     ) -> List[ComplianceResult]:
         """The batch view: refresh what is stale, then read the table.
 
         Returns one row per (trace, control) in canonical sweep order —
         traces in first-seen order (or the *trace_ids* given), controls in
         the order passed — byte-identical to a cold full sweep.  Only
-        dirty pairs are evaluated; with *jobs* > 1 the dirty partition
-        (and only it) is forked across workers.
+        dirty (or never-evaluated) pairs are evaluated, their frames primed
+        from one store scan.
         """
         for control in controls:
             self.register(control)
@@ -383,42 +367,21 @@ class VerdictMaterializer:
                 key = (control.name, trace_id)
                 if key in self._dirty or key not in self._verdicts:
                     stale.append((control, trace_id))
-        # Evaluating a pair clears its dirtiness whether it happens here or
-        # in a forked worker.
         for control, trace_id in stale:
             self._dirty.pop((control.name, trace_id), None)
         if stale:
-            adopted = None
-            if jobs is not None and jobs > 1 and trace_ids is None:
-                stale_traces = []
-                seen: Set[str] = set()
-                for __, trace_id in stale:
-                    if trace_id not in seen:
-                        seen.add(trace_id)
-                        stale_traces.append(trace_id)
-                adopted = self.evaluator.evaluate_forked(
-                    controls, stale_traces, jobs
+            try:
+                self.evaluator.prime_frames(
+                    list(dict.fromkeys(t for __, t in stale)),
+                    controls=controls,
                 )
-            if adopted is not None:
-                stale_keys = {(c.name, t) for c, t in stale}
-                for result in adopted:
-                    key = (result.control_name, result.trace_id)
-                    if key in stale_keys:
-                        self.refreshes += 1
-                        self._store_result(result)
-            else:
-                try:
-                    self.evaluator.prime_frames(
-                        list(dict.fromkeys(t for __, t in stale)),
-                        controls=controls,
-                    )
-                except StoreError:
-                    # An unreadable row anywhere poisons the shared scan;
-                    # fall through to per-pair refreshes, which confine
-                    # the failure to the affected trace's verdicts.
-                    pass
-                for control, trace_id in stale:
-                    self._refresh_pair(control, trace_id)
+            except StoreError:
+                # An unreadable row anywhere poisons the shared scan; fall
+                # through to per-pair refreshes, which confine the failure
+                # to the affected trace's verdicts.
+                pass
+            for control, trace_id in stale:
+                self._refresh_pair(control, trace_id)
         # Dirty pairs of controls outside this sweep's set stay dirty; the
         # assembled view reads only the columns asked for.
         return [

@@ -19,7 +19,7 @@ This package makes those failures *first-class and replayable*:
   (:meth:`~repro.faults.backend.FaultyBackend.recover`).
 - :mod:`~repro.faults.points` — named crash points threaded (no-op by
   default) through the store's commit path, SQLite transaction
-  boundaries, verdict-snapshot save/restore, and the parallel-sweep pool.
+  boundaries, and verdict-snapshot save/restore.
 - :mod:`~repro.faults.checker` — the crash-recovery model checker: runs
   randomized append/evaluate/snapshot/crash/reopen schedules against a
   never-crashed oracle and asserts the recovered store is a clean,

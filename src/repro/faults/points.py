@@ -35,10 +35,6 @@ point                                       site
                                             not yet written
 ``materializer.restore.mid_restore``        snapshot loaded, catch-up not
                                             yet marked
-``evaluator.pool.worker_start``             parent about to fork the sweep
-                                            pool
-``evaluator.pool.worker_teardown``          parent about to tear the pool
-                                            down
 ==========================================  =================================
 """
 

@@ -69,21 +69,34 @@ class _RuntimeRequestHandler(BaseHTTPRequestHandler):
     def runtime(self) -> ComplianceRuntime:
         return self.server.runtime  # type: ignore[attr-defined]
 
-    def _reply(self, status: int, payload: Dict) -> None:
+    def _reply(self, status: int, payload: Dict, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection: this reply ends the session.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _reply_error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
+    def _reply_error(
+        self, status: int, message: str, close: bool = False
+    ) -> None:
+        self._reply(status, {"error": message}, close=close)
 
     def _read_json(self) -> Optional[Dict]:
-        length = int(self.headers.get("Content-Length") or 0)
+        # Both early replies leave the body unread, so they close the
+        # connection: its bytes would otherwise parse as the next request.
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            self._reply_error(
+                400, "Content-Length is not an integer", close=True
+            )
+            return None
         if length < 0 or length > _MAX_BODY:
-            self._reply_error(413, "request body too large")
+            self._reply_error(413, "request body too large", close=True)
             return None
         raw = self.rfile.read(length) if length else b""
         if not raw:

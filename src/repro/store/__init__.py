@@ -14,8 +14,11 @@ Querying comes in the two styles of §II.A:
 
 - :mod:`repro.store.query` — an on-demand query frontend (filter by class,
   APPID, entity type, attribute predicates, XPath-lite paths),
-- :mod:`repro.store.continuous` — deployed queries that "emit results in
-  real-time, feeding existing dashboard systems".
+- deployed queries that "emit results in real-time, feeding existing
+  dashboard systems" are served by the verdict table of
+  :mod:`repro.controls.materializer` and its
+  :mod:`repro.controls.deployment` subscribers, fed by the store's
+  append observers.
 """
 
 from repro.store.xmlcodec import decode_row, encode_row, StoredRow
@@ -36,11 +39,9 @@ from repro.store.cursor import (
 from repro.store.store import ProvenanceStore
 from repro.store.index import StoreIndex
 from repro.store.query import AttributePredicate, RecordQuery, xpath_lite
-from repro.store.continuous import ContinuousQuery, Subscription
 
 __all__ = [
     "AttributePredicate",
-    "ContinuousQuery",
     "MemoryBackend",
     "ProvenanceStore",
     "RecordQuery",
@@ -49,7 +50,6 @@ __all__ = [
     "StorageBackend",
     "StoreIndex",
     "StoredRow",
-    "Subscription",
     "VectorCursor",
     "create_backend",
     "cursor_covers",

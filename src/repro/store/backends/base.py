@@ -28,7 +28,7 @@ and reopen.  Durability follows the backend: the memory backend keeps the
 blobs for the life of the object, SQLite writes them to disk.
 
 Everything else — duplicate-id policy, schema validation, indexing,
-continuous queries — is store policy and must NOT be reimplemented in a
+observer fan-out — is store policy and must NOT be reimplemented in a
 backend.  Backends may assume the store has already rejected duplicates
 before :meth:`StorageBackend.append_row` is called.
 

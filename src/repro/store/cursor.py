@@ -96,11 +96,6 @@ def cursor_total(cursor: Cursor) -> int:
     return int(cursor)
 
 
-def cursor_distance(a: Cursor, b: Cursor) -> int:
-    """How many rows ``a`` is ahead of ``b``, by total position."""
-    return cursor_total(a) - cursor_total(b)
-
-
 def cursor_covers(a: Cursor, b: Cursor) -> bool:
     """True when position ``a`` has consumed every row that ``b`` has.
 

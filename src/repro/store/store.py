@@ -10,8 +10,8 @@ store is the *coordination layer* over a pluggable storage backend
   verbatim so the table can be re-printed at any time,
 - the store enforces append policy (duplicate-id rejection, optional model
   validation), maintains secondary indexes (:mod:`repro.store.index`), and
-  notifies registered continuous queries (:mod:`repro.store.continuous`)
-  on every append.
+  notifies registered observers (frame caches, verdict materializers,
+  deployments) on every append.
 
 Opening a store over a backend that already holds rows (e.g. a SQLite file
 written by an earlier run) hydrates the secondary indexes from the existing
@@ -147,7 +147,7 @@ class ProvenanceStore:
 
         Raises :class:`DuplicateRecordId` on id reuse and, when a model is
         attached, :class:`~repro.errors.SchemaViolation` on nonconforming
-        records.  Observers (continuous queries) run after the row commits.
+        records.  Observers run after the row commits.
         """
         if self._backend.contains(record.record_id):
             raise DuplicateRecordId(record.record_id)
@@ -211,9 +211,6 @@ class ProvenanceStore:
         """Register a callback invoked after every append."""
         self._observers.append(observer)
 
-    def unsubscribe(self, observer: Callable[[ProvenanceRecord], None]) -> None:
-        self._observers.remove(observer)
-
     # -- sharding ------------------------------------------------------------
 
     def shard_count(self) -> int:
@@ -249,8 +246,8 @@ class ProvenanceStore:
         """Fold in rows another handle appended to the shared backend.
 
         Rows past this store's cursor are decoded, indexed, and announced
-        to observers exactly as a local append would be — continuous
-        queries, deployments, and materializers downstream of this store
+        to observers exactly as a local append would be — deployments
+        and materializers downstream of this store
         catch up without a rescan.  Returns the number of rows folded in.
 
         The local handle is flushed first so its own pending rows get

@@ -5,7 +5,7 @@ objects) on *every* check — ``check_trace`` in a loop paid one
 ``build_trace_graph`` per call.  These tests pin the fix: all public
 entry points route through one frame cache, appends invalidate exactly
 the touched trace, historical (``as_of``) views bypass the cache, and
-the parallel sweep returns the same rows as the serial one.
+every execution mode returns the same rows.
 """
 
 import dataclasses
@@ -154,75 +154,22 @@ class TestInvalidation:
 class TestSweepParity:
     def test_modes_produce_identical_rows(self, sim):
         def rows(**kwargs):
-            jobs = kwargs.pop("jobs", None)
             ev = ComplianceEvaluator(
                 sim.store, sim.xom, sim.vocabulary,
                 observable_types=sim.observable_types, **kwargs
             )
-            return _normalize(ev.run(sim.controls, jobs=jobs))
+            return _normalize(ev.run(sim.controls))
 
         reference = rows(execution_mode="interpret", share_contexts=False)
         assert rows(execution_mode="interpret") == reference
         assert rows(execution_mode="compiled") == reference
-        assert rows(execution_mode="compiled", jobs=2) == reference
 
-    def test_parallel_sweep_restricted_ids_stays_serial(self, sim, evaluator):
+    def test_restricted_trace_ids_keep_row_order(self, sim, evaluator):
         ids = sim.store.app_ids()[:2]
-        # trace_ids restriction forces the serial per-trace path even with
-        # jobs set; rows still come back in (trace, control) order.
-        results = evaluator.run(sim.controls, trace_ids=ids, jobs=4)
+        # A trace_ids restriction sweeps only those traces; rows still
+        # come back in (trace, control) order.
+        results = evaluator.run(sim.controls, trace_ids=ids)
         assert [r.trace_id for r in results] == [
             tid for tid in ids for __ in sim.controls
         ]
 
-
-class TestForkUnavailable:
-    """Platforms without ``fork`` degrade to serial — loudly, once, and
-    with byte-identical results."""
-
-    def _serial_reference(self, sim):
-        ev = ComplianceEvaluator(
-            sim.store, sim.xom, sim.vocabulary,
-            observable_types=sim.observable_types,
-        )
-        return _normalize(ev.run(sim.controls))
-
-    def test_missing_os_fork_warns_once_and_matches_serial(
-        self, sim, monkeypatch
-    ):
-        reference = self._serial_reference(sim)
-        monkeypatch.delattr(evaluator_module.os, "fork", raising=False)
-        ev = ComplianceEvaluator(
-            sim.store, sim.xom, sim.vocabulary,
-            observable_types=sim.observable_types,
-        )
-        ev.parallel_mode = "always"  # would fork if it could
-        with pytest.warns(RuntimeWarning) as captured:
-            got = _normalize(ev.run(sim.controls, jobs=4))
-        fork_warnings = [
-            w for w in captured if "os.fork" in str(w.message)
-        ]
-        assert len(fork_warnings) == 1
-        assert got == reference
-
-    def test_spawn_only_platform_warns_and_matches_serial(
-        self, sim, monkeypatch
-    ):
-        reference = self._serial_reference(sim)
-
-        def no_fork_context(method=None):
-            raise ValueError(f"cannot find context for {method!r}")
-
-        monkeypatch.setattr(
-            evaluator_module.multiprocessing, "get_context", no_fork_context
-        )
-        ev = ComplianceEvaluator(
-            sim.store, sim.xom, sim.vocabulary,
-            observable_types=sim.observable_types,
-        )
-        ev.parallel_mode = "always"
-        with pytest.warns(
-            RuntimeWarning, match="start method is unavailable"
-        ):
-            got = _normalize(ev.run(sim.controls, jobs=4))
-        assert got == reference

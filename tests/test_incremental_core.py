@@ -14,7 +14,6 @@ Three layers under test:
 """
 
 import dataclasses
-import os
 
 import pytest
 
@@ -304,26 +303,6 @@ class TestMaterializer:
         one = materializer.fingerprint()
         materializer.register(tool.control("has-submitter"))
         assert materializer.fingerprint() != one
-
-
-class TestForkFallback:
-    def test_jobs_without_fork_warns_and_runs_serial(
-        self, hiring_model, hiring_xom, hiring_vocabulary, tool, monkeypatch
-    ):
-        store = populate_store(
-            hiring_model,
-            [build_hiring_trace("App01"),
-             build_hiring_trace("App02", with_approval=False)],
-        )
-        controls = tool.deployed_controls()
-        reference = ComplianceEvaluator(
-            store, hiring_xom, hiring_vocabulary, share_contexts=False
-        ).run(controls)
-        monkeypatch.delattr(os, "fork")
-        evaluator = ComplianceEvaluator(store, hiring_xom, hiring_vocabulary)
-        with pytest.warns(RuntimeWarning, match="os.fork is unavailable"):
-            results = evaluator.run(controls, jobs=2)
-        assert norm(results) == norm(reference)
 
 
 # ---------------------------------------------------------------------------

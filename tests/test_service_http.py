@@ -7,7 +7,9 @@ verdicts are byte-identical to a cold sweep of the same database.
 """
 
 import contextlib
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -299,3 +301,120 @@ class TestServeLifecycle:
             [r.to_payload() for r in third.verdicts()]
         ) == served
         third.shutdown()
+
+
+def _raw_exchange(endpoint, request, timeout=10.0):
+    """Send raw request bytes; read until the server closes the socket.
+
+    A server that keeps the connection open past its reply makes this
+    raise ``socket.timeout`` — which is how the tests below detect a
+    connection left alive with an unread body on it.
+    """
+    host, port = endpoint.rsplit("//", 1)[1].split(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _parse_single_reply(raw):
+    """(status, JSON body) of exactly one HTTP reply; trailing bytes fail."""
+    head, sep, rest = raw.partition(b"\r\n\r\n")
+    assert sep, f"no complete reply: {raw!r}"
+    lines = head.decode("latin-1").split("\r\n")
+    status = int(lines[0].split()[1])
+    headers = {
+        name.strip().lower(): value.strip()
+        for name, __, value in (line.partition(":") for line in lines[1:])
+    }
+    assert headers["content-type"] == "application/json"
+    length = int(headers["content-length"])
+    assert len(rest) == length, f"bytes after the reply: {rest[length:]!r}"
+    return status, json.loads(rest)
+
+
+class TestMalformedRequests:
+    """Each malformed request gets a JSON 4xx body, and the server keeps
+    serving correct verdicts afterwards."""
+
+    def _runtime(self, tmp_path):
+        workload = hiring.workload()
+        sim, runtime = _sqlite_runtime(workload, str(tmp_path / "bad.db"))
+        runtime.open()
+        return workload, sim, runtime
+
+    def _assert_still_serving(self, endpoint, workload, sim):
+        transport = HTTPTransport(endpoint)
+        assert transport.health()["status"] == "ok"
+        client = RecorderClient(transport=transport)
+        client.process_all(_event_stream(workload, cases=3))
+        assert client.stats.recorded > 0
+        transport.sync()
+        assert json.dumps(transport.verdicts()) == _cold_sweep_payloads(sim)
+
+    def test_non_integer_content_length_is_a_json_400(self, tmp_path):
+        workload, sim, runtime = self._runtime(tmp_path)
+        with _served(runtime) as endpoint:
+            raw = _raw_exchange(
+                endpoint,
+                b"POST /ingest HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: abc\r\n\r\n{}",
+            )
+            status, body = _parse_single_reply(raw)
+            assert status == 400
+            assert "Content-Length" in body["error"]
+            self._assert_still_serving(endpoint, workload, sim)
+
+    def test_non_object_event_payload_is_a_json_400(self, tmp_path):
+        workload, sim, runtime = self._runtime(tmp_path)
+        with _served(runtime) as endpoint:
+            host, port = endpoint.rsplit("//", 1)[1].split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=10)
+            try:
+                conn.request(
+                    "POST", "/ingest",
+                    body=json.dumps({"events": [{
+                        "event_id": "e1", "source": "email",
+                        "kind": "k", "payload": [1, 2],
+                    }]}),
+                    headers={"Content-Type": "application/json"},
+                )
+                reply = conn.getresponse()
+                assert reply.status == 400
+                assert reply.getheader("Content-Type") == "application/json"
+                assert "malformed event" in json.loads(reply.read())["error"]
+                # The body was consumed, so the keep-alive connection
+                # stays usable.
+                conn.request("GET", "/health")
+                reply = conn.getresponse()
+                assert reply.status == 200
+                reply.read()
+            finally:
+                conn.close()
+            assert runtime.stats()["traces"] == 0
+            self._assert_still_serving(endpoint, workload, sim)
+
+    def test_oversized_body_is_a_413_that_closes_the_connection(
+        self, tmp_path
+    ):
+        workload, sim, runtime = self._runtime(tmp_path)
+        with _served(runtime) as endpoint:
+            # The declared body is never read; what follows the headers
+            # must not be parsed as a second request on the connection.
+            smuggled = b"GET /health HTTP/1.1\r\nHost: test\r\n\r\n"
+            raw = _raw_exchange(
+                endpoint,
+                b"POST /ingest HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % (64 * 1024 * 1024 + 1)
+                + smuggled,
+            )
+            status, body = _parse_single_reply(raw)
+            assert status == 413
+            assert "error" in body
+            self._assert_still_serving(endpoint, workload, sim)

@@ -8,7 +8,6 @@ new about sharding itself:
 - vector-cursor algebra, including the N=1 degenerate case that keeps
   pre-sharding ``int`` cursors (and the snapshots carrying them) valid,
 - the composite change feed's mid-stream resumability,
-- the scatter-gather view (``dirty_traces_by_shard``),
 - snapshot compatibility: a verdict snapshot written by a plain SQLite
   store restores under a single-shard composite over the same file,
 - a multi-writer smoke: two handles appending to disjoint shards of the
@@ -35,7 +34,6 @@ from repro.store.cursor import (
     advance_cursor,
     coerce_cursor,
     cursor_covers,
-    cursor_distance,
     cursor_from_wire,
     cursor_to_wire,
     cursor_total,
@@ -44,7 +42,7 @@ from repro.store.locks import FileLock, NullLock
 from repro.store.store import ProvenanceStore
 
 from tests.conftest import build_hiring_trace
-from tests.test_controls_evaluation import GM_CONTROL, populate_store
+from tests.test_controls_evaluation import GM_CONTROL
 from tests.test_incremental_core import norm
 from tests.test_store_store import sample_records
 
@@ -116,8 +114,6 @@ class TestVectorCursor:
         cursor = VectorCursor((3, 0, 5))
         assert cursor_total(cursor) == 8
         assert cursor_total(8) == 8
-        assert cursor_distance(cursor, VectorCursor((1, 0, 5))) == 2
-        assert cursor_distance(9, 4) == 5
 
     def test_degenerate_single_shard_equals_int(self):
         assert VectorCursor((7,)) == 7
@@ -195,62 +191,6 @@ class TestCompositeFeed:
             assert [
                 (seq, r.record_id) for seq, r in resumed
             ] == [(seq, r.record_id) for seq, r in feed[position + 1:]]
-        store.close()
-
-
-# ---------------------------------------------------------------------------
-# Scatter-gather dirty view
-# ---------------------------------------------------------------------------
-
-
-class TestScatterGather:
-    def test_dirty_traces_grouped_by_home_shard(
-        self, hiring_model, hiring_xom, hiring_vocabulary
-    ):
-        store = ProvenanceStore(
-            model=hiring_model, backend=sharded_memory(4)
-        )
-        app_ids = [f"App{i:02d}" for i in range(1, 7)]
-        for app_id in app_ids:
-            graph = build_hiring_trace(app_id)
-            for record in sorted(graph.nodes(), key=lambda r: r.record_id):
-                store.append(record)
-            for edge in sorted(graph.edges(), key=lambda r: r.record_id):
-                store.append(edge)
-        tool = ControlAuthoringTool(hiring_vocabulary)
-        tool.author("gm-approval", GM_CONTROL)
-        tool.deploy("gm-approval")
-        evaluator = ComplianceEvaluator(store, hiring_xom, hiring_vocabulary)
-        materializer = evaluator.materializer
-        materializer.register(tool.control("gm-approval"))
-        grouped = materializer.dirty_traces_by_shard()
-        assert sorted(
-            trace for traces in grouped.values() for trace in traces
-        ) == sorted(app_ids)
-        for shard, traces in grouped.items():
-            assert traces  # no empty groups reported
-            assert all(
-                shard_index_for(trace, 4) == shard for trace in traces
-            )
-        evaluator.run([tool.control("gm-approval")])
-        assert materializer.dirty_traces_by_shard() == {}
-        store.close()
-
-    def test_unsharded_store_groups_under_shard_zero(
-        self, hiring_model, hiring_xom, hiring_vocabulary
-    ):
-        store = populate_store(
-            hiring_model,
-            [build_hiring_trace("App01"), build_hiring_trace("App02")],
-        )
-        tool = ControlAuthoringTool(hiring_vocabulary)
-        tool.author("gm-approval", GM_CONTROL)
-        tool.deploy("gm-approval")
-        evaluator = ComplianceEvaluator(store, hiring_xom, hiring_vocabulary)
-        evaluator.materializer.register(tool.control("gm-approval"))
-        assert evaluator.materializer.dirty_traces_by_shard() == {
-            0: ["App01", "App02"]
-        }
         store.close()
 
 

@@ -117,123 +117,6 @@ class TestXpathLite:
             xpath_lite(row, "/a/b")
 
 
-class TestContinuousQuery:
-    def test_deploy_replays_history_and_streams(self):
-        from repro.store.continuous import CollectingSink, ContinuousQuery
-        from repro.store.store import ProvenanceStore
-
-        store = ProvenanceStore()
-        store.append(record(reqid="before"))
-        query = ContinuousQuery(
-            RecordQuery(entity_type="jobrequisition")
-        ).deploy(store)
-        sink = CollectingSink()
-        query.subscribe(sink)
-        # History replay happened before subscribe in this flow; emitted
-        # counts it, the sink only sees live appends.
-        assert query.emitted == 1
-        store.append(
-            DataRecord.create(
-                "PE4", "App01", "jobrequisition", attributes={"reqid": "live"}
-            )
-        )
-        assert [r.get("reqid") for r in sink.records] == ["live"]
-        assert query.emitted == 2
-
-    def test_subscribe_before_deploy_sees_history(self):
-        from repro.store.continuous import CollectingSink, ContinuousQuery
-        from repro.store.store import ProvenanceStore
-
-        store = ProvenanceStore()
-        store.append(record(reqid="before"))
-        query = ContinuousQuery(RecordQuery(entity_type="jobrequisition"))
-        sink = CollectingSink()
-        query.subscribe(sink)
-        query.deploy(store)
-        assert [r.get("reqid") for r in sink.records] == ["before"]
-
-    def test_no_replay_mode(self):
-        from repro.store.continuous import CollectingSink, ContinuousQuery
-        from repro.store.store import ProvenanceStore
-
-        store = ProvenanceStore()
-        store.append(record())
-        query = ContinuousQuery(
-            RecordQuery(entity_type="jobrequisition"), replay=False
-        )
-        sink = CollectingSink()
-        query.subscribe(sink)
-        query.deploy(store)
-        assert len(sink) == 0
-
-    def test_cancel_subscription(self):
-        from repro.store.continuous import CollectingSink, ContinuousQuery
-        from repro.store.store import ProvenanceStore
-
-        store = ProvenanceStore()
-        query = ContinuousQuery(RecordQuery()).deploy(store)
-        sink = CollectingSink()
-        handle = query.subscribe(sink)
-        store.append(record())
-        handle.cancel()
-        store.append(
-            DataRecord.create("PE9", "App01", "jobrequisition")
-        )
-        assert len(sink) == 1
-        assert not handle.active
-
-    def test_undeploy_stops_emission(self):
-        from repro.store.continuous import ContinuousQuery
-        from repro.store.store import ProvenanceStore
-
-        store = ProvenanceStore()
-        query = ContinuousQuery(RecordQuery()).deploy(store)
-        query.undeploy()
-        store.append(record())
-        assert query.emitted == 0
-        assert not query.deployed
-
-    def test_double_deploy_rejected(self):
-        from repro.store.continuous import ContinuousQuery
-        from repro.store.store import ProvenanceStore
-
-        store = ProvenanceStore()
-        query = ContinuousQuery(RecordQuery()).deploy(store)
-        with pytest.raises(RuntimeError):
-            query.deploy(store)
-
-    def test_last_cancel_detaches_from_store(self):
-        from repro.store.continuous import CollectingSink, ContinuousQuery
-        from repro.store.store import ProvenanceStore
-
-        store = ProvenanceStore()
-        query = ContinuousQuery(RecordQuery()).deploy(store)
-        first = query.subscribe(CollectingSink())
-        second = query.subscribe(CollectingSink())
-        first.cancel()
-        assert query.deployed  # one listener left: stay attached
-        second.cancel()
-        # Last listener gone: the query undeploys itself, so the store no
-        # longer pays a match test (or holds a reference) for it.
-        assert not query.deployed
-        store.append(record())
-        assert query.emitted == 0
-
-    def test_redeploy_after_auto_detach(self):
-        from repro.store.continuous import CollectingSink, ContinuousQuery
-        from repro.store.store import ProvenanceStore
-
-        store = ProvenanceStore()
-        query = ContinuousQuery(RecordQuery(), replay=False).deploy(store)
-        query.subscribe(CollectingSink()).cancel()
-        assert not query.deployed
-        sink = CollectingSink()
-        query.subscribe(sink)
-        query.deploy(store)  # re-attach is allowed after auto-detach
-        store.append(record())
-        assert len(sink) == 1
-
-
 class TestXpathParseMemo:
     """xpath_lite parses each row's XML at most once per row visit."""
 

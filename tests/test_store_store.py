@@ -74,11 +74,6 @@ class TestAppend:
         store.subscribe(seen.append)
         store.extend(sample_records())
         assert len(seen) == 3
-        store.unsubscribe(seen.append)
-        store.append(
-            DataRecord.create("D9", "App01", "jobrequisition")
-        )
-        assert len(seen) == 3
 
 
 class TestValidation:
