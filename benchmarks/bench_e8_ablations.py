@@ -2,9 +2,10 @@
 
 Three knobs, each switched off in isolation on the hiring workload:
 
-1. **store secondary indexes** (DESIGN.md decision 1) — with indexing off,
-   every control evaluation scans the whole table; time the compliance
-   pass both ways,
+1. **the store's indexed query path** (DESIGN.md decision 1) — with
+   ``indexed=False`` the store skips the backend's ``query_records``
+   (per-APPID lists in memory, SQL push-down on SQLite) and every trace
+   query scans the whole table; time the compliance pass both ways,
 2. **vocabulary lookup cache** (decision 3) — phrase → member resolution
    is the hottest call of rule evaluation; compare lookup counts, hit
    rates, the end-to-end pass, and the isolated lookup path,
@@ -58,7 +59,7 @@ def _timed_pass(sim, repeats=3, execution_mode="compiled"):
 def test_e8_ablations(benchmark, artifact):
     lines = []
 
-    # -- ablation 1: store indexes ------------------------------------------
+    # -- ablation 1: indexed query path -------------------------------------
     indexed_sim = _simulate(indexed=True)
     scan_sim = _simulate(indexed=False)
     indexed_sec, indexed_results = _timed_pass(indexed_sim)
@@ -69,7 +70,7 @@ def test_e8_ablations(benchmark, artifact):
     assert disagreements == []
     assert comparisons == len(indexed_results)
     speedup = scan_sec / indexed_sec
-    assert speedup > 1.0, "index must not slow the compliance pass down"
+    assert speedup > 1.0, "the indexed query path must not slow the compliance pass down"
     lines.append(
         render_table(
             ("store config", "pass time", "speedup", "verdicts"),
@@ -77,7 +78,7 @@ def test_e8_ablations(benchmark, artifact):
                 ("indexed", f"{indexed_sec:.4f}s", f"{speedup:.1f}x", "ref"),
                 ("full scan", f"{scan_sec:.4f}s", "1.0x", "identical"),
             ],
-            title=f"E8.1: secondary indexes ({CASES} traces)",
+            title=f"E8.1: indexed query path ({CASES} traces)",
         )
     )
 

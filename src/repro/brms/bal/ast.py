@@ -142,11 +142,12 @@ class Comparison(Node):
 
 
 def _render_bullet(condition: "Node") -> str:
-    """Render one bullet of a condition block.
+    """Render one bullet of a condition block, or one inline operand.
 
     A nested block must be parenthesized: bullet lists carry no
     indentation, so an unparenthesized inner block would greedily swallow
-    the outer block's remaining bullets on re-parse.
+    the outer block's remaining bullets on re-parse, or the rest of an
+    inline ``and``/``or`` into its last bullet.
     """
     rendered = condition.render()
     if isinstance(condition, (And, Or)) and condition.block:
@@ -169,7 +170,7 @@ class And(Node):
             return (
                 "all of the following conditions are true : " + bullets
             )
-        return " and ".join(c.render() for c in self.conditions)
+        return " and ".join(_render_bullet(c) for c in self.conditions)
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,7 @@ class Or(Node):
             return (
                 "any of the following conditions are true : " + bullets
             )
-        return " or ".join(c.render() for c in self.conditions)
+        return " or ".join(_render_bullet(c) for c in self.conditions)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ exactly what would have survived on disk.
 from __future__ import annotations
 
 import shutil
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.errors import BackendError, RecordNotFound
 from repro.faults.plan import FaultPlan, SimulatedCrash
@@ -95,12 +95,10 @@ class FaultyBackend(StorageBackend):
     def accepts_cols(self) -> bool:
         return not self._dead() and self.inner.accepts_cols()
 
-    def bind_columnar(
-        self, codec, indexed_attributes: Iterable[str] = ()
-    ) -> None:
+    def bind_columnar(self, codec) -> None:
         if self._dead():
             return
-        self.inner.bind_columnar(codec, indexed_attributes)
+        self.inner.bind_columnar(codec)
 
     def shard_count(self) -> int:
         return self.inner.shard_count()

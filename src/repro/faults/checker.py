@@ -365,8 +365,8 @@ def run_schedule(
             for r in recovered.rows()
         ]
         for row in recovered.rows():
-            # Row-level decode, independent of the hydration above: a torn
-            # row must be *detected*, not repaired in passing.
+            # Opening reads no rows, so decode each one here: a torn row
+            # must be *detected*, not repaired in passing.
             recovered._decode(row)
     except StoreError as exc:
         raise fail(f"recovered store holds undecodable rows: {exc}") from exc

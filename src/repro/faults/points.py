@@ -19,8 +19,8 @@ point                                       site
 ==========================================  =================================
 ``store.append.before_commit``              append validated, row not yet
                                             handed to the backend
-``store.append.after_commit_before_index``  row in the backend, secondary
-                                            indexes/observers not yet run
+``store.append.after_commit_before_index``  row in the backend, cursor
+                                            and observers not yet run
 ``store.bulk.enter`` / ``store.bulk.exit``  bulk-section boundaries
 ``store.flush`` / ``store.close``           durability boundaries
 ``sqlite.flush.before_commit``              rows inserted, transaction not

@@ -267,8 +267,9 @@ class ComplianceRuntime:
 
         Each lane writes through a store handle of its own: a forked
         SQLite connection onto the shard file, or the memory backend
-        itself (safe under the lane lock: its rows only ever grow).  A
-        lane owns — flushes and closes — exactly the handles it forked.
+        itself (safe under the lane lock: its lists only ever grow, and
+        readers copy them by slice).  A lane owns — flushes and closes —
+        exactly the handles it forked.
         """
         children = self.store.backend.shard_backends()
         handles = []
@@ -286,8 +287,6 @@ class ComplianceRuntime:
                 index,
                 ProvenanceStore(
                     model=self.store.model,
-                    indexed=False,
-                    indexed_attributes=self.store.indexed_attributes,
                     backend=handle,
                     fast_codec=self.store.codec is not None,
                 ),

@@ -37,7 +37,6 @@ from repro.store.cursor import (
     cursor_total,
 )
 from repro.store.store import ProvenanceStore
-from repro.store.index import StoreIndex
 from repro.store.query import AttributePredicate, RecordQuery, xpath_lite
 
 __all__ = [
@@ -48,7 +47,6 @@ __all__ = [
     "ShardedBackend",
     "SQLiteBackend",
     "StorageBackend",
-    "StoreIndex",
     "StoredRow",
     "VectorCursor",
     "create_backend",

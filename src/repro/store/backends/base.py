@@ -5,14 +5,17 @@ the physical home of those rows should be swappable: an in-memory list for
 tests and small runs, SQLite for durable single-node deployments, and, down
 the road, sharded or client/server stores.  :class:`StorageBackend` is that
 seam.  The :class:`~repro.store.store.ProvenanceStore` stays the
-coordination layer (validation, secondary indexes, observers, queries) and
-delegates row custody to a backend.
+coordination layer (validation, observers, queries) and delegates row
+custody to a backend.
 
-A backend owns exactly three things:
+A backend owns exactly four things:
 
 - the physical rows, in append order, byte-identical forever,
 - the materialization of rows back into records (eagerly for the memory
-  backend, lazily with caching for SQLite), and
+  backend, lazily with caching for SQLite),
+- finding rows: :meth:`StorageBackend.query_records` answers a
+  :class:`~repro.store.query.RecordQuery` from whatever index the
+  backend keeps, and :meth:`StorageBackend.app_ids` lists the traces, and
 - the **change feed**: every row carries an implicit monotonic sequence
   number — its 1-based append position — and :meth:`changes_since`
   replays the rows after a cursor.  Seqs are contiguous and identical
@@ -27,8 +30,8 @@ verdict snapshots use this so an incremental evaluation survives a close
 and reopen.  Durability follows the backend: the memory backend keeps the
 blobs for the life of the object, SQLite writes them to disk.
 
-Everything else — duplicate-id policy, schema validation, indexing,
-observer fan-out — is store policy and must NOT be reimplemented in a
+Everything else — duplicate-id policy, schema validation, observer
+fan-out — is store policy and must NOT be reimplemented in a
 backend.  Backends may assume the store has already rejected duplicates
 before :meth:`StorageBackend.append_row` is called.
 
@@ -45,7 +48,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -87,16 +89,13 @@ class StorageBackend(ABC):
         """
         return False
 
-    def bind_columnar(
-        self, codec, indexed_attributes: Iterable[str] = ()
-    ) -> None:
+    def bind_columnar(self, codec) -> None:
         """Attach a :class:`~repro.store.columnar.ColumnarCodec`.
 
         Called by the store right after the decoder is installed.
         Backends that persist ``cols`` use the codec to decode payloads
         on read paths and to backfill payloads for rows written before
-        the columnar schema existed; *indexed_attributes* names get
-        expression indexes.  Default: ignore.
+        the columnar schema existed.  Default: ignore.
         """
 
     # -- writes --------------------------------------------------------------
@@ -143,8 +142,9 @@ class StorageBackend(ABC):
     def app_ids(self) -> List[str]:
         """Distinct APPIDs in first-seen order.
 
-        The default scans the rows; backends with a cheaper path (SQLite's
-        ``GROUP BY``) override it.
+        Every uncached verdict read asks, so real backends must answer
+        without a scan (memory keeps the list, SQLite extends a cached one
+        from its rowid tail).  The default scans the rows.
         """
         seen: Dict[str, None] = {}
         for row in self.iter_rows():
@@ -156,12 +156,12 @@ class StorageBackend(ABC):
     ) -> Optional[List[ProvenanceRecord]]:
         """Candidate records for *query* via predicate push-down.
 
-        ``None`` means "no push-down path" (the default) and the store
-        falls back to its index/scan candidate generation.  A non-None
-        result must be a **superset** of the true matches, in this
-        backend's append order — the store re-applies ``query.matches``
-        to every candidate, so false positives are fine and false
-        negatives are forbidden.
+        This is the store's only indexed path.  ``None`` means "no
+        push-down path for this query" (the default) and the store scans.
+        A non-None result must be a **superset** of the true matches, in
+        this backend's scan order, as a list the caller may keep — the
+        store re-applies ``query.matches`` to every candidate, so false
+        positives are fine and false negatives are forbidden.
         """
         return None
 

@@ -2,8 +2,14 @@
 
 Rows live in a Python list, records in an id-keyed dict; :meth:`get` hands
 back the very record object that was appended (zero-copy), which is what
-the store always did before backends existed.  Everything is O(1) except
-the full scans, and nothing survives the process.
+the store always did before backends existed.  A per-APPID record list
+answers trace-scoped queries and :meth:`app_ids` without a scan.
+Everything is O(1) except the full scans, and nothing survives the
+process.
+
+Service ingest lanes share one instance across threads, so every read
+copies an append-only list by slice instead of iterating a container
+another thread may be growing.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import RecordNotFound
 from repro.model.records import ProvenanceRecord
 from repro.store.backends.base import StorageBackend
+from repro.store.query import RecordQuery
 from repro.store.xmlcodec import StoredRow
 
 
@@ -25,6 +32,8 @@ class MemoryBackend(StorageBackend):
         self._rows: List[StoredRow] = []
         self._records: Dict[str, ProvenanceRecord] = {}
         self._order: List[str] = []
+        self._by_app: Dict[str, List[ProvenanceRecord]] = {}
+        self._app_order: List[str] = []
         self._state: Dict[str, str] = {}
         self._decoder = None
 
@@ -47,6 +56,12 @@ class MemoryBackend(StorageBackend):
         self._rows.append(row)
         self._records[row.record_id] = record
         self._order.append(row.record_id)
+        trace = self._by_app.get(row.app_id)
+        if trace is None:
+            self._by_app[row.app_id] = [record]
+            self._app_order.append(row.app_id)
+        else:
+            trace.append(record)
 
     def get(self, record_id: str) -> ProvenanceRecord:
         try:
@@ -67,9 +82,22 @@ class MemoryBackend(StorageBackend):
     def count(self) -> int:
         return len(self._order)
 
+    def app_ids(self) -> List[str]:
+        return self._app_order[:]
+
+    def query_records(
+        self, query: RecordQuery
+    ) -> Optional[List[ProvenanceRecord]]:
+        # A trace's whole record list is the candidate superset; queries
+        # spanning traces scan.
+        if query.app_id is None:
+            return None
+        return self._by_app.get(query.app_id, [])[:]
+
     def fork_handle(self) -> "MemoryBackend":
-        # The lists and dicts only ever grow, so a second writer thread
-        # may share them under its own lock: the handle is the backend.
+        # The lists and dicts only ever grow and readers copy lists by
+        # slice, so a second writer thread may share them under its own
+        # lock: the handle is the backend.
         return self
 
     def last_seq(self) -> int:

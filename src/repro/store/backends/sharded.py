@@ -35,7 +35,6 @@ from __future__ import annotations
 import zlib
 from typing import (
     FrozenSet,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -146,12 +145,9 @@ class ShardedBackend(StorageBackend):
     def accepts_cols(self) -> bool:
         return any(child.accepts_cols() for child in self._children)
 
-    def bind_columnar(
-        self, codec, indexed_attributes: Iterable[str] = ()
-    ) -> None:
-        names = tuple(indexed_attributes)
+    def bind_columnar(self, codec) -> None:
         for child in self._children:
-            child.bind_columnar(codec, names)
+            child.bind_columnar(codec)
 
     # -- writes --------------------------------------------------------------
 
@@ -185,8 +181,8 @@ class ShardedBackend(StorageBackend):
 
     def get(self, record_id: str) -> ProvenanceRecord:
         # Record ids do not carry their APPID, so point lookups probe the
-        # shards in order.  O(N) point reads are acceptable: the store
-        # keeps its own id index and rarely reaches this path.
+        # shards in order.  O(N) point reads are acceptable: queries find
+        # rows through query_records, and get is off the hot path.
         for child in self._children:
             if child.contains(record_id):
                 return child.get(record_id)
@@ -227,16 +223,20 @@ class ShardedBackend(StorageBackend):
     def query_records(
         self, query: RecordQuery
     ) -> Optional[List[ProvenanceRecord]]:
-        # Only trace-scoped queries push down: an APPID pins the query to
-        # exactly one home shard, whose append order matches what every
-        # other candidate path yields for that trace.  Queries spanning
-        # shards would surface shard-grouped order where the store's
-        # index paths use arrival order, so they take the fallback.
-        if query.app_id is None:
-            return None
-        return self._children[self.shard_index(query.app_id)].query_records(
-            query
-        )
+        # An APPID pins the query to its home shard.  Otherwise every
+        # shard answers and the answers concatenate in shard order — the
+        # order of the scan — unless one shard has no push-down path.
+        if query.app_id is not None:
+            return self._children[
+                self.shard_index(query.app_id)
+            ].query_records(query)
+        results: List[ProvenanceRecord] = []
+        for child in self._children:
+            pushed = child.query_records(query)
+            if pushed is None:
+                return None
+            results.extend(pushed)
+        return results
 
     def count(self) -> int:
         return sum(child.count() for child in self._children)
@@ -246,8 +246,7 @@ class ShardedBackend(StorageBackend):
 
         Routing puts every APPID in exactly one shard, so concatenating
         the per-shard lists needs no dedup.  The store treats this as the
-        canonical trace order for sharded backends, shared by indexed and
-        index-free handles alike.
+        canonical trace order for sharded backends.
         """
         result: List[str] = []
         for child in self._children:

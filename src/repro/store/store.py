@@ -9,23 +9,26 @@ store is the *coordination layer* over a pluggable storage backend
   by default, a SQLite table when durability or scale is needed — kept
   verbatim so the table can be re-printed at any time,
 - the store enforces append policy (duplicate-id rejection, optional model
-  validation), maintains secondary indexes (:mod:`repro.store.index`), and
-  notifies registered observers (frame caches, verdict materializers,
-  deployments) on every append.
+  validation) and notifies registered observers (frame caches, verdict
+  materializers, deployments) on every append,
+- finding a trace's rows is the backend's job: :meth:`select` hands each
+  :class:`~repro.store.query.RecordQuery` to the backend's
+  ``query_records`` (SQL push-down on SQLite, a per-APPID record list in
+  memory) and re-applies the query to whatever candidates come back.
 
 Opening a store over a backend that already holds rows (e.g. a SQLite file
-written by an earlier run) hydrates the secondary indexes from the existing
-rows, so queries and continuous checking behave exactly as if the records
-had just been appended.
+written by an earlier run) reads none of them: there is no store-side
+index to hydrate, so the open costs the same for ten rows as for a
+million.
 
 The store also fronts the backend's **change feed**: every committed row
 has a monotonic sequence number (its append position), :meth:`last_seq`
 reports the newest one this store has seen, :meth:`changes_since` replays
 decoded records after a cursor, and :meth:`sync` folds in rows another
-handle wrote to the same backend out-of-band — updating indexes and firing
-observers exactly as if the records had been appended here.  Incremental
-consumers (the verdict materializer, deployed controls, ``watch``) are all
-views over this one feed.
+handle wrote to the same backend out-of-band — firing observers exactly as
+if the records had been appended here.  Incremental consumers (the verdict
+materializer, deployed controls, ``watch``) are all views over this one
+feed.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Set,
     Tuple,
     Union,
 )
@@ -58,7 +60,6 @@ from repro.model.schema import ProvenanceDataModel
 from repro.store.backends import StorageBackend, create_backend
 from repro.store.columnar import ColumnarCodec
 from repro.store.cursor import Cursor, advance_cursor
-from repro.store.index import StoreIndex
 from repro.store.query import RecordQuery
 from repro.store.xmlcodec import StoredRow, XmlCodec, decode_row, encode_row
 
@@ -70,8 +71,8 @@ class ProvenanceStore:
 
     Args:
         model: optional data model; when given, appends are validated.
-        indexed: whether to maintain secondary indexes (E8 ablation knob).
-        indexed_attributes: attribute names to value-index (e.g. ``reqid``).
+        indexed: whether queries use the backend's indexed path (E8
+            ablation knob); ``False`` answers every query by a scan.
         backend: where the physical rows live — a
             :class:`~repro.store.backends.base.StorageBackend` instance, a
             registry name (``"memory"``, ``"sqlite"``), or ``None`` for the
@@ -86,17 +87,12 @@ class ProvenanceStore:
         self,
         model: Optional[ProvenanceDataModel] = None,
         indexed: bool = True,
-        indexed_attributes: Optional[Set[str]] = None,
         backend: BackendSpec = None,
         fast_codec: bool = True,
     ) -> None:
         self.model = model
         self.codec: Optional[XmlCodec] = XmlCodec(model) if fast_codec else None
-        # Retained so shard-scoped handles (service ingest lanes) can be
-        # built with the same columnar/index configuration.
-        self.indexed_attributes: FrozenSet[str] = frozenset(
-            indexed_attributes or ()
-        )
+        self._indexed = indexed
         if backend is None:
             backend = create_backend("memory")
         elif isinstance(backend, str):
@@ -109,16 +105,9 @@ class ProvenanceStore:
         self.columnar: Optional[ColumnarCodec] = None
         if fast_codec and self._backend.accepts_cols():
             self.columnar = ColumnarCodec(model)
-            self._backend.bind_columnar(
-                self.columnar, indexed_attributes or ()
-            )
-        self._index: Optional[StoreIndex] = (
-            StoreIndex(indexed_attributes) if indexed else None
-        )
+            self._backend.bind_columnar(self.columnar)
         self._observers: List[Callable[[ProvenanceRecord], None]] = []
         self._seen_seq = self._backend.last_seq()
-        if self._index is not None and self._backend.count():
-            self._index.rebuild(self._backend.iter_records())
 
     @property
     def backend(self) -> StorageBackend:
@@ -127,8 +116,8 @@ class ProvenanceStore:
 
     @property
     def indexed(self) -> bool:
-        """Whether secondary indexes are maintained (E8 ablation knob)."""
-        return self._index is not None
+        """Whether queries use the backend's indexed path (E8 ablation)."""
+        return self._indexed
 
     def _decode(self, row: StoredRow) -> ProvenanceRecord:
         if self.codec is not None:
@@ -175,8 +164,6 @@ class ProvenanceStore:
         self._seen_seq = advance_cursor(
             self._seen_seq, self._backend.shard_index(record.app_id)
         )
-        if self._index is not None:
-            self._index.add(record)
         for observer in self._observers:
             observer(record)
 
@@ -193,8 +180,8 @@ class ProvenanceStore:
     def bulk(self):
         """Batch backend commits across a run of appends.
 
-        Semantics are unchanged — duplicate checks, indexes and observers
-        still fire per append — only the backend's transaction boundaries
+        Semantics are unchanged — duplicate checks and observers still
+        fire per append — only the backend's transaction boundaries
         widen, which is what makes SQLite appends stream-fast.  Nestable.
         """
         self._backend.begin_bulk()
@@ -245,10 +232,10 @@ class ProvenanceStore:
     def sync(self) -> int:
         """Fold in rows another handle appended to the shared backend.
 
-        Rows past this store's cursor are decoded, indexed, and announced
-        to observers exactly as a local append would be — deployments
-        and materializers downstream of this store
-        catch up without a rescan.  Returns the number of rows folded in.
+        Rows past this store's cursor are decoded and announced to
+        observers exactly as a local append would be — deployments and
+        materializers downstream of this store catch up without a rescan.
+        Returns the number of rows folded in.
 
         The local handle is flushed first so its own pending rows get
         their seqs before foreign rows are numbered after them; callers
@@ -272,8 +259,6 @@ class ProvenanceStore:
         self._seen_seq = delta[-1][0]
         for __, row in delta:
             record = self._decode(row)
-            if self._index is not None:
-                self._index.add(record)
             for observer in self._observers:
                 observer(record)
         return len(delta)
@@ -318,16 +303,12 @@ class ProvenanceStore:
         return list(self._backend.iter_rows())
 
     def app_ids(self) -> List[str]:
-        """Distinct application ids in first-seen order.
+        """Distinct application ids in the backend's first-seen order.
 
-        On sharded backends "first-seen" means the backend's canonical
-        shard-grouped order, which every handle — indexed or not, local
-        writer or foreign reader — computes identically; the local
-        index's arrival order would differ between handles that saw the
-        same rows interleave differently.
+        On sharded backends "first-seen" means the canonical shard-grouped
+        order.  Either way every handle on the same rows — local writer or
+        foreign reader — computes the same list.
         """
-        if self._index is not None and self._backend.shard_count() == 1:
-            return self._index.app_ids()
         return self._backend.app_ids()
 
     def records_by_trace(self) -> Dict[str, List[ProvenanceRecord]]:
@@ -365,54 +346,32 @@ class ProvenanceStore:
 
     # -- querying ----------------------------------------------------------
 
-    def _candidates(self, query: RecordQuery) -> Iterator[ProvenanceRecord]:
-        """Choose the narrowest index path for *query*, else scan."""
-        # Predicate push-down first: a backend that can compile the query
-        # into indexed SQL hands back a candidate superset without
-        # touching rows the WHERE clause excludes.  select()/select_one()
-        # still apply query.matches to every candidate (superset rule).
-        pushed = self._backend.query_records(query)
-        if pushed is not None:
-            yield from pushed
-            return
-        if self._index is None:
-            if query.app_id is not None:
-                # The physical row carries APPID (Table I), so a trace
-                # query filters on the column and decodes only that
-                # trace's rows — other traces' XML is never touched, and
-                # a corrupt row elsewhere stays that trace's problem.
-                for row in self._backend.iter_rows():
-                    if row.app_id == query.app_id:
-                        yield self._decode(row)
-                return
-            yield from self.records()
-            return
-        ids: Optional[List[str]] = None
-        # Attribute value index is the most selective path when available.
-        if query.entity_type is not None:
-            for predicate in query.predicates:
-                if predicate.op != "==" or predicate.value is None:
-                    continue
-                hit = self._index.by_attribute(
-                    query.entity_type, predicate.name, predicate.value
-                )
-                if hit is not None:
-                    ids = hit
-                    break
-        if ids is None and query.app_id is not None:
-            if query.record_class is not None:
-                ids = self._index.by_app_class(query.app_id, query.record_class)
-            else:
-                ids = self._index.by_app(query.app_id)
-        if ids is None and query.entity_type is not None:
-            ids = self._index.by_type(query.entity_type)
-        if ids is None and query.record_class is not None:
-            ids = self._index.by_class(query.record_class)
-        if ids is None:
-            yield from self.records()
-            return
-        for record_id in ids:
-            yield self._backend.get(record_id)
+    def _candidates(
+        self, query: RecordQuery
+    ) -> Iterable[ProvenanceRecord]:
+        """A superset of *query*'s matches, in append order.
+
+        Indexed stores ask the backend first: SQLite compiles the query
+        into an indexed ``WHERE`` clause, memory answers a trace from its
+        per-APPID list.  select()/select_one() still apply query.matches
+        to every candidate (superset rule).  A backend without a path for
+        this query, or an unindexed store (the E8 ablation), scans.
+        """
+        if self._indexed:
+            pushed = self._backend.query_records(query)
+            if pushed is not None:
+                return pushed
+        if query.app_id is not None:
+            # The physical row carries APPID (Table I), so a trace query
+            # filters on the column and decodes only that trace's rows —
+            # other traces' XML is never touched, and a corrupt row
+            # elsewhere stays that trace's problem.
+            return (
+                self._decode(row)
+                for row in self._backend.iter_rows()
+                if row.app_id == query.app_id
+            )
+        return self.records()
 
     def select(self, query: RecordQuery) -> List[ProvenanceRecord]:
         """All records matching *query*, in append order."""
@@ -443,9 +402,6 @@ class ProvenanceStore:
 
     def relations_from(self, source_id: str) -> List[RelationRecord]:
         """All relation records whose source is *source_id*."""
-        if self._index is not None:
-            ids = self._index.relations_from(source_id)
-            return [self._backend.get(i) for i in ids]  # type: ignore[misc]
         return [
             record
             for record in self.records()
@@ -455,9 +411,6 @@ class ProvenanceStore:
 
     def relations_to(self, target_id: str) -> List[RelationRecord]:
         """All relation records whose target is *target_id*."""
-        if self._index is not None:
-            ids = self._index.relations_to(target_id)
-            return [self._backend.get(i) for i in ids]  # type: ignore[misc]
         return [
             record
             for record in self.records()
@@ -508,7 +461,6 @@ class ProvenanceStore:
         path: str,
         model: Optional[ProvenanceDataModel] = None,
         indexed: bool = True,
-        indexed_attributes: Optional[Set[str]] = None,
         backend: BackendSpec = None,
     ) -> "ProvenanceStore":
         """Rebuild a store from a file written by :meth:`dump`.
@@ -519,12 +471,7 @@ class ProvenanceStore:
         """
         if not os.path.exists(path):
             raise QueryError(f"no store file at {path!r}")
-        store = cls(
-            model=model,
-            indexed=indexed,
-            indexed_attributes=indexed_attributes,
-            backend=backend,
-        )
+        store = cls(model=model, indexed=indexed, backend=backend)
         with open(path, "r", encoding="utf-8") as handle, store.bulk():
             for line in handle:
                 line = line.strip()
@@ -543,7 +490,7 @@ class ProvenanceStore:
     def append_row(self, row: StoredRow) -> ProvenanceRecord:
         """Append a physical row verbatim (replication/load path).
 
-        The row is decoded for validation, indexing and observers, but the
+        The row is decoded for validation and observers, but the
         stored bytes are *row*'s exactly — not a re-encoding — so replicas
         and reloaded dumps stay byte-identical to their source.
         """

@@ -29,7 +29,6 @@ from repro.store.xmlcodec import StoredRow, XmlCodec, decode_row
 
 from tests.test_store_backends import (
     BACKEND_PARAMS,
-    MULTI_SHARD_KINDS,
     make_backend,
 )
 
@@ -183,23 +182,14 @@ class TestDifferentialQueries:
         """
         model = fuzz_model()
         store = ProvenanceStore(
-            model=model,
-            indexed_attributes={"reqid"},
-            backend=make_backend(kind, tmp_path),
+            model=model, backend=make_backend(kind, tmp_path)
         )
         app_ids = [f"App{i:02d}" for i in range(6)]
         populate(store, app_ids)
         universe = store.select(RecordQuery())
         for query in query_bank(app_ids[0]):
             expected = [r for r in universe if query.matches(r)]
-            actual = store.select(query)
-            if kind in MULTI_SHARD_KINDS:
-                by_id = lambda r: r.record_id  # noqa: E731
-                assert sorted(actual, key=by_id) == sorted(
-                    expected, key=by_id
-                )
-            else:
-                assert actual == expected
+            assert store.select(query) == expected
         store.close()
 
     def test_cold_reopen_matches_xml_oracle(self, tmp_path):
@@ -212,13 +202,11 @@ class TestDifferentialQueries:
         """
         model = fuzz_model()
         path = str(tmp_path / "u.db")
-        store = ProvenanceStore(
-            model=model, indexed=False, backend=SQLiteBackend(path)
-        )
+        store = ProvenanceStore(model=model, backend=SQLiteBackend(path))
         populate(store, ["U1", "U2"])
         store.close()
         backend = SQLiteBackend(path)
-        reopened = ProvenanceStore(model=model, indexed=False, backend=backend)
+        reopened = ProvenanceStore(model=model, backend=backend)
         oracle = [decode_row(row, model) for row in reopened.rows()]
         for query in query_bank("U1"):
             assert reopened.select(query) == [
@@ -410,9 +398,7 @@ class TestTamperConfinement:
         )
         conn.commit()
         conn.close()
-        reopened = ProvenanceStore(
-            model=model, indexed=False, backend=SQLiteBackend(path)
-        )
+        reopened = ProvenanceStore(model=model, backend=SQLiteBackend(path))
         # The stale payload must not mask the tampering: the CRC check
         # sends the row to the XML decoder, which reports it as always.
         with pytest.raises(CodecError):

@@ -16,6 +16,7 @@ from repro.errors import CodecError
 from repro.processes import hiring
 from repro.processes.engine import ProcessSimulator, all_events
 from repro.processes.violations import ViolationPlan
+from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
 from repro.store.xmlcodec import StoredRow, decode_row
 
@@ -156,14 +157,19 @@ class TestCorruptedRows:
         conn.close()
         return path, sim
 
-    def test_indexed_open_fails_fast_on_tampered_row(self, tmp_path):
+    def test_open_defers_tampered_row_to_its_trace(self, tmp_path):
         from repro.errors import StoreError
         from repro.store.backends import SQLiteBackend
         from repro.store.store import ProvenanceStore as Store
 
         path, sim = self._tampered_db(tmp_path)
+        # Opening reads no rows, so it cannot trip over the damage; the
+        # tampered trace's own query does, and only that one.
+        store = Store(model=sim.model, backend=SQLiteBackend(path))
         with pytest.raises(StoreError):
-            Store(model=sim.model, backend=SQLiteBackend(path))
+            store.select(RecordQuery(app_id="App01"))
+        assert store.select(RecordQuery(app_id="App02"))
+        store.close()
 
     def test_tampered_row_surfaces_as_error_verdict(self, tmp_path):
         """Through the materializer, a tampered row becomes an explicit
@@ -173,11 +179,9 @@ class TestCorruptedRows:
         from repro.store.store import ProvenanceStore as Store
 
         path, sim = self._tampered_db(tmp_path)
-        # Unindexed open defers decoding, so evaluation (not open) is
-        # where the tampering surfaces.
-        store = Store(
-            model=sim.model, backend=SQLiteBackend(path), indexed=False
-        )
+        # Opening decodes nothing, so evaluation is where the tampering
+        # surfaces.
+        store = Store(model=sim.model, backend=SQLiteBackend(path))
         evaluator = ComplianceEvaluator(store, sim.xom, sim.vocabulary)
         transitions = []
         evaluator.materializer.subscribe(transitions.append)

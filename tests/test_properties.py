@@ -15,7 +15,7 @@ Each property pins an invariant the rest of the system leans on:
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.brms.bal import ast
@@ -198,8 +198,32 @@ rules = st.builds(
 )
 
 
+def _eq(left, right):
+    return ast.Comparison("eq", ast.Literal(left), ast.Literal(right))
+
+
+#: A block conjunction as the left operand of an inline ``and``.  Rendered
+#: without parentheses, re-parsing swallowed the trailing ``and 0 is 0``
+#: into the block's last bullet.
+NESTED_BLOCK_RULE = ast.Rule(
+    definitions=(),
+    condition=ast.And(
+        (
+            ast.And(
+                (_eq(None, 0), ast.And((_eq(0, 0), _eq(0, 0)), block=True)),
+                block=True,
+            ),
+            _eq(0, 0),
+        )
+    ),
+    then_actions=(ast.SetStatus(satisfied=True),),
+    else_actions=(),
+)
+
+
 class TestBalRenderStability:
     @given(rule=rules)
+    @example(rule=NESTED_BLOCK_RULE)
     @settings(max_examples=120, deadline=None)
     def test_render_parse_fixpoint(self, rule):
         rendered = rule.render()
@@ -207,6 +231,10 @@ class TestBalRenderStability:
         # Parse -> render -> parse must be a fixpoint even when the first
         # parse normalizes shapes (e.g. literal folding of bullets).
         assert reparsed.render() == parse_rule(reparsed.render()).render()
+
+    def test_block_operand_of_inline_and_keeps_its_grouping(self):
+        reparsed = parse_rule(NESTED_BLOCK_RULE.render())
+        assert reparsed.condition == NESTED_BLOCK_RULE.condition
 
     @given(expr=expressions)
     @settings(max_examples=120, deadline=None)

@@ -91,9 +91,7 @@ def backend_kind(request):
 @pytest.fixture
 def store(backend_kind, tmp_path):
     store = ProvenanceStore(
-        indexed=True,
-        indexed_attributes={"reqid"},
-        backend=make_backend(backend_kind, tmp_path),
+        indexed=True, backend=make_backend(backend_kind, tmp_path)
     )
     store.extend(sample_records("App01"))
     store.extend(sample_records("App02"))
@@ -222,12 +220,34 @@ class TestUnindexedConformance:
             r.record_id for r in scanning.select(query)
         ]
         assert indexed.app_ids() == scanning.app_ids()
+        for shard in scanning.backend.shard_backends():
+            shard = getattr(shard, "inner", shard)  # unwrap FaultyBackend
+            if isinstance(shard, SQLiteBackend):
+                # The ablation really scans: SQLite never pushed down.
+                assert shard.pushdown_queries == 0
         indexed.close()
         scanning.close()
 
 
+class TestMemorySpecifics:
+    def test_answers_are_copies(self):
+        """Readers get slices: a caller (or a FaultyBackend appending its
+        staged rows) may extend an answer without touching the backend."""
+        backend = MemoryBackend()
+        store = ProvenanceStore(backend=backend)
+        store.extend(sample_records("App01"))
+        backend.query_records(RecordQuery(app_id="App01")).clear()
+        backend.app_ids().clear()
+        assert [
+            r.record_id for r in store.select(RecordQuery(app_id="App01"))
+        ] == ["R1-App01", "D1-App01", "E1-App01"]
+        assert store.app_ids() == ["App01"]
+        assert backend.query_records(RecordQuery(app_id="App09")) == []
+        assert backend.query_records(RecordQuery()) is None
+
+
 class TestSQLiteSpecifics:
-    def test_reopen_hydrates_indexes(self, tmp_path):
+    def test_reopen_answers_queries_from_backend(self, tmp_path):
         db = str(tmp_path / "prov.db")
         store = ProvenanceStore(backend=SQLiteBackend(db))
         store.extend(sample_records("App01"))
@@ -238,14 +258,27 @@ class TestSQLiteSpecifics:
         reopened = ProvenanceStore(backend=SQLiteBackend(db))
         assert len(reopened) == 6
         assert [r.as_tuple() for r in reopened.rows()] == rows_before
-        # Index paths work over hydrated data.
+        # Nothing was hydrated; the backend answers from its own rows.
         assert reopened.app_ids() == ["App01", "App02"]
+        assert [
+            r.record_id for r in reopened.select(RecordQuery(app_id="App02"))
+        ] == ["R1-App02", "D1-App02", "E1-App02"]
         assert [
             r.record_id for r in reopened.relations_from("R1-App01")
         ] == ["E1-App01"]
         with pytest.raises(DuplicateRecordId):
             reopened.append(sample_records("App01")[0])
         reopened.close()
+
+    def test_oracle_codec_store_pushes_down_physical_facets(self, tmp_path):
+        backend = SQLiteBackend(str(tmp_path / "oracle.db"))
+        store = ProvenanceStore(backend=backend, fast_codec=False)
+        store.extend(sample_records("App01"))
+        store.extend(sample_records("App02"))
+        query = RecordQuery(app_id="App02", entity_type="jobrequisition")
+        assert [r.record_id for r in store.select(query)] == ["D1-App02"]
+        assert backend.pushdown_queries == 1
+        store.close()
 
     def test_pending_rows_visible_before_flush(self, tmp_path):
         backend = SQLiteBackend(str(tmp_path / "b.db"), batch_size=1000)

@@ -160,3 +160,108 @@ class TestXpathParseMemo:
             with pytest.raises(QueryError, match="malformed XML"):
                 xpath_lite(bad, "/jobrequisition/reqid")
         assert query_module.xml_parse_count() - before == 1
+
+
+class TestOpenReadsNoRows:
+    """Opening a store decodes nothing: finding rows is the backend's job,
+    so there is no store-side index to hydrate from the table."""
+
+    @staticmethod
+    def _count_decodes(monkeypatch):
+        from repro.store.columnar import ColumnarCodec
+        from repro.store.xmlcodec import XmlCodec
+
+        counts = {"decodes": 0}
+        for cls, name in (
+            (XmlCodec, "decode_row"),
+            (ColumnarCodec, "decode_cols"),
+        ):
+            original = getattr(cls, name)
+
+            def counted(self, *args, _original=original, **kwargs):
+                counts["decodes"] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("shards", [1, 4], ids=["plain", "4-shard"])
+    def test_open_over_populated_sqlite_decodes_nothing(
+        self, shards, tmp_path, monkeypatch
+    ):
+        from repro.store.backends import ShardedBackend, SQLiteBackend
+        from repro.store.store import ProvenanceStore
+
+        from tests.test_store_store import sample_records
+
+        path = str(tmp_path / "prov.db")
+
+        def backend():
+            if shards == 1:
+                return SQLiteBackend(path)
+            return ShardedBackend.for_sqlite(path, shards)
+
+        store = ProvenanceStore(backend=backend())
+        for index in range(8):
+            store.extend(sample_records(f"App{index:02d}"))
+        store.close()
+
+        counts = self._count_decodes(monkeypatch)
+        reopened = ProvenanceStore(backend=backend())
+        assert len(reopened) == 24
+        assert counts["decodes"] == 0
+        # The first trace query decodes that trace's rows and no others.
+        hits = reopened.select(RecordQuery(app_id="App03"))
+        assert [r.record_id for r in hits] == [
+            "R1-App03", "D1-App03", "E1-App03"
+        ]
+        assert counts["decodes"] == 3
+        reopened.close()
+
+
+class TestSQLiteAppIds:
+    def test_cached_trace_list_follows_foreign_appends(self, tmp_path):
+        import sqlite3
+
+        from repro.model.records import DataRecord
+        from repro.store.backends import SQLiteBackend
+        from repro.store.store import ProvenanceStore
+
+        from tests.test_store_store import sample_records
+
+        path = str(tmp_path / "prov.db")
+
+        def group_by():
+            conn = sqlite3.connect(path)
+            try:
+                return [
+                    appid for (appid,) in conn.execute(
+                        "SELECT appid FROM provenance "
+                        "GROUP BY appid ORDER BY MIN(rowid)"
+                    )
+                ]
+            finally:
+                conn.close()
+
+        local = ProvenanceStore(backend=SQLiteBackend(path))
+        local.extend(sample_records("App02"))
+        local.extend(sample_records("App01"))
+        assert local.backend.app_ids() == group_by() == ["App02", "App01"]
+
+        # A second handle appends to existing traces and starts new ones.
+        foreign = ProvenanceStore(backend=SQLiteBackend(path))
+        foreign.append(DataRecord.create("D2-App01", "App01", "note"))
+        foreign.extend(sample_records("App09"))
+        foreign.append(DataRecord.create("D2-App02", "App02", "note"))
+        foreign.extend(sample_records("App03"))
+        foreign.flush()
+        assert local.backend.app_ids() == group_by() == [
+            "App02", "App01", "App09", "App03"
+        ]
+        assert local.app_ids() == group_by()
+
+        local.extend(sample_records("App00"))
+        assert local.backend.app_ids() == group_by()
+        assert local.backend.app_ids()[-1] == "App00"
+        foreign.close()
+        local.close()

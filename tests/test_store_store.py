@@ -1,4 +1,4 @@
-"""Unit tests for the provenance store, indexes, and persistence."""
+"""Unit tests for the provenance store, its query paths, and persistence."""
 
 import pytest
 
@@ -37,9 +37,7 @@ def sample_records(app_id="App01"):
 
 @pytest.fixture(params=[True, False], ids=["indexed", "scan"])
 def store(request):
-    store = ProvenanceStore(
-        indexed=request.param, indexed_attributes={"reqid"}
-    )
+    store = ProvenanceStore(indexed=request.param)
     store.extend(sample_records("App01"))
     store.extend(sample_records("App02"))
     return store
@@ -148,54 +146,3 @@ class TestPersistence:
 
         with pytest.raises(QueryError):
             ProvenanceStore.load(str(tmp_path / "missing.jsonl"))
-
-
-class TestStoreIndexDirect:
-    """Direct tests of the attribute value index path."""
-
-    def test_attribute_index_used_for_equality(self):
-        store = ProvenanceStore(indexed=True, indexed_attributes={"reqid"})
-        for index in range(20):
-            store.append(
-                DataRecord.create(
-                    f"D{index}", f"App{index:02d}", "jobrequisition",
-                    attributes={"reqid": f"R{index}"},
-                )
-            )
-        query = RecordQuery(entity_type="jobrequisition").where(
-            "reqid", "==", "R7"
-        )
-        hits = store.select(query)
-        assert [r.record_id for r in hits] == ["D7"]
-
-    def test_unindexed_attribute_falls_back(self):
-        store = ProvenanceStore(indexed=True, indexed_attributes=set())
-        store.append(
-            DataRecord.create(
-                "D1", "App01", "jobrequisition",
-                attributes={"reqid": "R1"},
-            )
-        )
-        query = RecordQuery(entity_type="jobrequisition").where(
-            "reqid", "==", "R1"
-        )
-        assert len(store.select(query)) == 1
-
-    def test_attribute_index_respects_entity_type(self):
-        store = ProvenanceStore(indexed=True, indexed_attributes={"reqid"})
-        store.append(
-            DataRecord.create(
-                "D1", "App01", "jobrequisition",
-                attributes={"reqid": "R1"},
-            )
-        )
-        store.append(
-            DataRecord.create(
-                "D2", "App01", "approvalstatus",
-                attributes={"reqid": "R1"},
-            )
-        )
-        query = RecordQuery(entity_type="approvalstatus").where(
-            "reqid", "==", "R1"
-        )
-        assert [r.record_id for r in store.select(query)] == ["D2"]

@@ -57,7 +57,7 @@ class TestSimulate:
         sim = workload.simulate(
             cases=2, indexed=False, cache_vocabulary=False
         )
-        assert sim.store._index is None
+        assert not sim.store.indexed
         assert not sim.vocabulary.cache_enabled
 
     def test_ground_truth_table_shape(self, workload):
