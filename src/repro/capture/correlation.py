@@ -29,6 +29,15 @@ All plans emit relations in exactly the order the naive nested loop would
 byte-identical to the fallback — the differential tests assert this), and a
 :class:`CorrelationStats` report makes the work visible: pairs considered
 vs. emitted, and how many rules fell back.
+
+Idempotence is **per trace**.  Every rule is scoped to one APPID, so both
+endpoints of an emitted relation — and the relation row itself — carry
+the trace's APPID: the analytics link records within one process
+execution, never across two.  The edges a trace already has are therefore
+exactly its own relation rows, read with the trace's records, and a run
+keeps no store-wide edge set.  Relation ids (``REL<n>``) are the only
+state spanning traces; :func:`relation_ids` resumes their sequence on a
+populated store from one backend aggregate.
 """
 
 from __future__ import annotations
@@ -48,6 +57,23 @@ from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
 
 PairPredicate = Callable[[ProvenanceRecord, ProvenanceRecord], bool]
+
+#: id prefix relation records are minted under (``REL1``, ``REL2`` …).
+_REL_PREFIX = "REL"
+
+
+def relation_ids(store: ProvenanceStore) -> IdFactory:
+    """An id factory continuing *store*'s ``REL<n>`` sequence.
+
+    Correlation over a reopened store must not restart its counter at 1 —
+    those ids exist and appends would raise.  The backend answers the
+    highest ``REL<digits>`` id without decoding a row.
+    """
+    ids = IdFactory()
+    highest = store.backend.highest_id(_REL_PREFIX)
+    if highest:
+        ids.seed(_REL_PREFIX, highest + 1)
+    return ids
 
 
 @dataclass(frozen=True)
@@ -316,7 +342,7 @@ class CorrelationAnalytics:
     """Runs correlation rules over a store and appends relation records.
 
     The analytics are idempotent per run: an edge (type, source, target) that
-    already exists in the store is not emitted again, so re-running after new
+    already exists in its trace is not emitted again, so re-running after new
     events arrive only adds the genuinely new links.
 
     Args:
@@ -335,7 +361,6 @@ class CorrelationAnalytics:
         model: Optional[ProvenanceDataModel] = None,
         ids: Optional[IdFactory] = None,
         use_planner: bool = True,
-        track_edges: bool = False,
     ) -> None:
         self.store = store
         self.model = model if model is not None else store.model
@@ -344,14 +369,6 @@ class CorrelationAnalytics:
         self._rules: List[CorrelationRule] = []
         #: stats of the most recent :meth:`run` (None before the first run).
         self.stats: Optional[CorrelationStats] = None
-        # With track_edges the existing-edge set is seeded once and then
-        # maintained by a store observer, so repeated run() calls skip the
-        # full-store relation scan (the per-batch cost on a long-lived
-        # runtime).  Outputs are byte-identical either way.
-        self._edge_cache: Optional[set] = None
-        if track_edges:
-            self._edge_cache = self._existing_edges()
-            self.store.subscribe(self._note_relation)
 
     def add_rule(self, rule) -> "CorrelationAnalytics":
         """Register a :class:`CorrelationRule` or :class:`SequenceRule`."""
@@ -373,36 +390,24 @@ class CorrelationAnalytics:
         """The execution plan for every registered rule, in rule order."""
         return [plan_rule(rule) for rule in self._rules]
 
-    def _existing_edges(self) -> set:
-        return {
-            (r.entity_type, r.source_id, r.target_id)
-            for r in self.store.records()
-            if isinstance(r, RelationRecord)
-        }
-
-    def _note_relation(self, record: ProvenanceRecord) -> None:
-        """Store observer: fold appended/synced relations into the cache."""
-        if self._edge_cache is not None and isinstance(record, RelationRecord):
-            self._edge_cache.add(
-                (record.entity_type, record.source_id, record.target_id)
-            )
-
     def run(
         self, app_ids: Optional[Iterable[str]] = None
     ) -> List[RelationRecord]:
         """Run all rules over the given traces (default: all); returns the
         newly created relation records (already appended to the store)."""
         traces = list(app_ids) if app_ids is not None else self.store.app_ids()
-        existing = (
-            self._edge_cache
-            if self._edge_cache is not None
-            else self._existing_edges()
-        )
         stats = CorrelationStats()
         self.stats = stats
         created: List[RelationRecord] = []
         if not self.use_planner:
             for app_id in traces:
+                existing = _edges(
+                    self.store.select(
+                        RecordQuery(
+                            record_class=RecordClass.RELATION, app_id=app_id
+                        )
+                    )
+                )
                 for rule in self._rules:
                     if isinstance(rule, SequenceRule):
                         created.extend(
@@ -434,6 +439,7 @@ class CorrelationAnalytics:
             buckets = _TraceBuckets(
                 self.store.select(RecordQuery(app_id=app_id))
             )
+            existing = _edges(buckets.by_class.get(RecordClass.RELATION, ()))
             for plan in plans:
                 if plan.kind == PLAN_SEQUENCE:
                     emitted = self._run_sequence_planned(
@@ -468,11 +474,11 @@ class CorrelationAnalytics:
         if key in existing:
             return None
         existing.add(key)
-        record_id = self.ids.next("REL")
+        record_id = self.ids.next(_REL_PREFIX)
         while record_id in self.store:
             # A fresh analytics instance over a pre-populated store
             # restarts its counter; skip ids already taken.
-            record_id = self.ids.next("REL")
+            record_id = self.ids.next(_REL_PREFIX)
         relation = RelationRecord.create(
             record_id=record_id,
             app_id=app_id,
@@ -682,6 +688,11 @@ class CorrelationAnalytics:
                 if relation is not None:
                     created.append(relation)
         return created
+
+
+def _edges(relations: Iterable[ProvenanceRecord]) -> set:
+    """The ``(type, source, target)`` keys of one trace's relation rows."""
+    return {(r.entity_type, r.source_id, r.target_id) for r in relations}
 
 
 def _scope(query: RecordQuery, app_id: str) -> RecordQuery:

@@ -111,13 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 "own write lock)"
             ),
         )
-        p.add_argument(
-            "--decode-cache", type=int, default=None, metavar="N",
-            help=(
-                "capacity of the sqlite backend's decoded-record LRU "
-                "cache (default: REPRO_DECODE_CACHE env var, else 4096)"
-            ),
-        )
 
     def add_workload_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -309,10 +302,7 @@ def _backend_for(args, threadsafe: bool = False) -> Optional[StorageBackend]:
     threads).
     """
     shards = getattr(args, "shards", 1)
-    cache = getattr(args, "decode_cache", None)
-    sqlite_options = {} if cache is None else {"cache_size": cache}
-    if threadsafe:
-        sqlite_options["threadsafe"] = True
+    sqlite_options = {"threadsafe": True} if threadsafe else {}
     if shards > 1:
         if args.backend == "sqlite":
             if args.db:

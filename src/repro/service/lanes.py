@@ -3,12 +3,14 @@
 An :class:`IngestLane` is the runtime-side mirror of one shard: it owns
 a store handle of its own over that shard, its own recorder pipeline
 (typing + dedup), and its own incremental correlation, all guarded by
-its own lock.  The runtime routes events to lanes with the same APPID
-hash the backend uses, so ingest calls for traces on different shards
-never touch shared state and proceed in parallel.  An unsharded store is
-one shard with one lane.  Cross-shard state — the materializer, the
-verdict table, snapshots — stays behind the runtime's global lock, which
-folds lane output in through the store's change feed.
+its own lock.  Correlation keeps no edge set between batches: each pass
+reads the touched traces' rows, their existing relations included, so
+building a lane reads no rows.  The runtime routes events to lanes with
+the same APPID hash the backend uses, so ingest calls for traces on
+different shards never touch shared state and proceed in parallel.  An
+unsharded store is one shard with one lane.  Cross-shard state — the
+materializer, the verdict table, snapshots — stays behind the runtime's
+global lock, which folds lane output in through the store's change feed.
 
 Lane ownership rules (see EXTENDING.md for the operator-facing version):
 
@@ -62,7 +64,8 @@ class IngestLane:
         mapping: event mapping; ``None`` leaves the lane read-only.
         correlation_rules: rules run incrementally over traces this lane
             touched; empty disables correlation.
-        rel_ids: the runtime's *shared* relation-id factory.  ``next()``
+        rel_ids: the runtime's *shared* relation-id factory (see
+            :func:`~repro.capture.correlation.relation_ids`).  ``next()``
             is GIL-atomic, so lanes mint globally unique REL ids without
             any cross-lane locking.
         owns_store: whether the lane owns (and must flush + close) its
@@ -92,11 +95,8 @@ class IngestLane:
         )
         self.analytics: Optional[CorrelationAnalytics] = None
         if correlation_rules:
-            # track_edges: the lane lives for the whole service session,
-            # so the existing-edge set is maintained by observer instead
-            # of re-scanned from the store on every batch.
             self.analytics = CorrelationAnalytics(
-                store, store.model, ids=rel_ids, track_edges=True
+                store, store.model, ids=rel_ids
             )
             for rule in correlation_rules:
                 self.analytics.add_rule(rule)

@@ -62,6 +62,7 @@ from typing import (
     Tuple,
 )
 
+from repro.capture.correlation import relation_ids
 from repro.capture.events import ApplicationEvent
 from repro.capture.recorder import RecorderStats
 from repro.controls.control import InternalControl
@@ -72,14 +73,10 @@ from repro.controls.materializer import (
 )
 from repro.controls.status import ComplianceResult
 from repro.errors import ServiceError
-from repro.ids import IdFactory
 from repro.service.lanes import IngestLane
 from repro.service.transport import IngestReply
 from repro.store.cursor import cursor_to_wire
 from repro.store.store import ProvenanceStore
-
-#: id prefix correlation analytics mint relation records under.
-_RELATION_PREFIX = "REL"
 
 #: backend aux-state key the per-lane ingest counters persist under
 #: (read offline by ``repro store-stats``).
@@ -173,9 +170,6 @@ class ComplianceRuntime:
         self.materializer = materializer
         self._mapping = mapping
         self._correlation_rules: Sequence = list(correlation_rules)
-        #: shared relation-id factory; ``next()`` is GIL-atomic, so lanes
-        #: mint globally unique REL ids without cross-lane locking.
-        self._rel_ids = None  # seeded and shared out in :meth:`open`
         #: one ingest lane per shard, built in :meth:`open`.
         self._lanes: List[IngestLane] = []
         # Live transition feed (ring buffer, monotonically indexed).
@@ -218,13 +212,14 @@ class ComplianceRuntime:
         the store; the report says how much work that took.  With a
         matching snapshot on the backend only traces appended to while
         the runtime was down re-evaluate — a restarted server resumes
-        from its cursor, never from zero.  Raises :class:`ServiceError`
-        when a shard cannot give its lane a store handle of its own.
+        from its cursor, never from zero.  Lanes keep no store-wide
+        state, so building them decodes no row.  Raises
+        :class:`ServiceError` when a shard cannot give its lane a store
+        handle of its own.
         """
         with self._lock:
             if self._opened:
                 raise ServiceError("runtime is already open")
-            self._seed_relation_ids()
             self._build_lanes()
             self._opened = True
             for control in self.controls:
@@ -243,25 +238,6 @@ class ComplianceRuntime:
                 last_seq=self.store.last_seq(),
             )
 
-    def _seed_relation_ids(self) -> None:
-        """Continue the REL<i> id sequence past what is already stored.
-
-        Correlation over a reopened store must not restart its id counter
-        at 1 — those ids exist and appends would raise.
-        """
-        self._rel_ids = IdFactory()
-        if not self._correlation_rules:
-            return
-        highest = 0
-        for row in self.store.rows():
-            record_id = row.record_id
-            if record_id.startswith(_RELATION_PREFIX):
-                suffix = record_id[len(_RELATION_PREFIX):]
-                if suffix.isdigit():
-                    highest = max(highest, int(suffix))
-        if highest:
-            self._rel_ids.seed(_RELATION_PREFIX, highest + 1)
-
     def _build_lanes(self) -> None:
         """Mirror the store's shard layout with one ingest lane per shard.
 
@@ -269,8 +245,13 @@ class ComplianceRuntime:
         SQLite connection onto the shard file, or the memory backend
         itself (safe under the lane lock: its lists only ever grow, and
         readers copy them by slice).  A lane owns — flushes and closes —
-        exactly the handles it forked.
+        exactly the handles it forked.  The lanes share one relation-id
+        factory that continues the stored ``REL<n>`` sequence; seeding it
+        is one backend aggregate, and building the lanes reads no rows.
         """
+        rel_ids = (
+            relation_ids(self.store) if self._correlation_rules else None
+        )
         children = self.store.backend.shard_backends()
         handles = []
         for index, child in enumerate(children):
@@ -292,7 +273,7 @@ class ComplianceRuntime:
                 ),
                 mapping=self._mapping,
                 correlation_rules=self._correlation_rules,
-                rel_ids=self._rel_ids,
+                rel_ids=rel_ids,
                 owns_store=handle is not child,
             )
             for index, (handle, child) in enumerate(zip(handles, children))

@@ -151,6 +151,23 @@ class StorageBackend(ABC):
             seen.setdefault(row.app_id)
         return list(seen)
 
+    def highest_id(self, prefix: str) -> int:
+        """The largest *n* among row ids ``<prefix><n>``; 0 when none.
+
+        Only ids whose suffix is one or more ASCII digits count, compared
+        as numbers (``REL10`` beats ``REL9``); rows not yet flushed count
+        too.  Id sequences resume from this after a reopen, so real
+        backends should answer without decoding rows.  The default scans
+        the row ids.
+        """
+        highest = 0
+        for row in self.iter_rows():
+            if row.record_id.startswith(prefix):
+                suffix = row.record_id[len(prefix):]
+                if suffix.isascii() and suffix.isdigit():
+                    highest = max(highest, int(suffix))
+        return highest
+
     def query_records(
         self, query: RecordQuery
     ) -> Optional[List[ProvenanceRecord]]:

@@ -241,6 +241,9 @@ class ShardedBackend(StorageBackend):
     def count(self) -> int:
         return sum(child.count() for child in self._children)
 
+    def highest_id(self, prefix: str) -> int:
+        return max(child.highest_id(prefix) for child in self._children)
+
     def app_ids(self) -> List[str]:
         """Distinct APPIDs in shard-grouped, first-seen-per-shard order.
 

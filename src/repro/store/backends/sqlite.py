@@ -56,7 +56,6 @@ Throughput and latency choices:
 
 from __future__ import annotations
 
-import os
 import sqlite3
 from collections import OrderedDict
 from dataclasses import replace
@@ -108,24 +107,6 @@ _COLUMNAR_INDEX = (
 #: reopen never rescans them.
 _BACKFILL_MARKER = "columnar.backfill.cursor"
 
-#: fallback LRU record-cache capacity when neither the constructor nor the
-#: environment says otherwise.
-_DEFAULT_CACHE_SIZE = 4096
-
-
-def _default_cache_size() -> int:
-    """Cache capacity from ``REPRO_DECODE_CACHE``, else 4096."""
-    raw = os.environ.get("REPRO_DECODE_CACHE")
-    if raw is None or not raw.strip():
-        return _DEFAULT_CACHE_SIZE
-    try:
-        return int(raw)
-    except ValueError:
-        raise BackendError(
-            f"REPRO_DECODE_CACHE must be an integer, got {raw!r}"
-        ) from None
-
-
 class SQLiteBackend(StorageBackend):
     """Durable Table I rows in a SQLite database.
 
@@ -136,8 +117,6 @@ class SQLiteBackend(StorageBackend):
         bulk_batch_size: pending appends per transaction inside bulk
             sections (recorder streams).
         cache_size: capacity of the LRU record cache (decoded rows).
-            Defaults to the ``REPRO_DECODE_CACHE`` environment variable,
-            or 4096.
         write_lock: optional context manager (a
             :class:`~repro.store.locks.FileLock`) taken around each flush
             transaction, serializing multi-process writers fairly instead
@@ -156,12 +135,10 @@ class SQLiteBackend(StorageBackend):
         path: str = ":memory:",
         batch_size: int = 256,
         bulk_batch_size: int = 8192,
-        cache_size: Optional[int] = None,
+        cache_size: int = 4096,
         write_lock=None,
         threadsafe: bool = False,
     ) -> None:
-        if cache_size is None:
-            cache_size = _default_cache_size()
         if batch_size < 1 or bulk_batch_size < 1 or cache_size < 1:
             raise BackendError("sqlite backend sizes must be >= 1")
         self.path = path
@@ -597,6 +574,21 @@ class SQLiteBackend(StorageBackend):
                 known = known.union(fresh)
             self._traces_seen = (tip, ids, known)
         return list(ids)
+
+    def highest_id(self, prefix: str) -> int:
+        # A primary-key range: every id that continues *prefix* with a
+        # digit sorts in [prefix + "0", prefix + ":"), since ":" follows
+        # "9".  The GLOB drops suffixes with a non-digit further on.
+        self._check_open()
+        self.flush()
+        start = len(prefix) + 1
+        (highest,) = self._conn.execute(
+            "SELECT COALESCE(MAX(CAST(SUBSTR(id, ?) AS INTEGER)), 0) "
+            "FROM provenance WHERE id >= ? AND id < ? "
+            "AND SUBSTR(id, ?) NOT GLOB '*[^0-9]*'",
+            (start, prefix + "0", prefix + ":", start),
+        ).fetchone()
+        return int(highest)
 
     # -- change feed ---------------------------------------------------------
 

@@ -13,7 +13,7 @@ import sqlite3
 
 import pytest
 
-from repro.errors import BackendError, CodecError
+from repro.errors import CodecError
 from repro.model.builder import ModelBuilder
 from repro.model.records import (
     DataRecord,
@@ -410,23 +410,6 @@ class TestTamperConfinement:
 
 
 class TestCacheConfiguration:
-    def test_env_overrides_default_cache_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "17")
-        backend = SQLiteBackend()
-        assert backend.cache_size == 17
-        backend.close()
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "17")
-        backend = SQLiteBackend(cache_size=5)
-        assert backend.cache_size == 5
-        backend.close()
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DECODE_CACHE", "lots")
-        with pytest.raises(BackendError):
-            SQLiteBackend()
-
     def test_cache_and_pushdown_counters(self, tmp_path):
         model = fuzz_model()
         path = str(tmp_path / "c.db")

@@ -177,6 +177,7 @@ class TestHTTPRoundtrip:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(malformed, timeout=30)
             assert excinfo.value.code == 400
+            assert "error" in json.loads(excinfo.value.read())
 
             transport = HTTPTransport(endpoint)
             with pytest.raises(TransportError) as excinfo:
@@ -368,6 +369,38 @@ class TestMalformedRequests:
             status, body = _parse_single_reply(raw)
             assert status == 400
             assert "Content-Length" in body["error"]
+            self._assert_still_serving(endpoint, workload, sim)
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"not json", b'{"events": "\xff\xfe"}'],
+        ids=["non-json", "invalid-utf8"],
+    )
+    def test_undecodable_body_is_a_json_400(self, body, tmp_path):
+        workload, sim, runtime = self._runtime(tmp_path)
+        with _served(runtime) as endpoint:
+            host, port = endpoint.rsplit("//", 1)[1].split(":")
+            conn = http.client.HTTPConnection(host, int(port), timeout=10)
+            try:
+                conn.request(
+                    "POST", "/ingest", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                reply = conn.getresponse()
+                assert reply.status == 400
+                assert reply.getheader("Content-Type") == "application/json"
+                assert json.loads(reply.read()) == {
+                    "error": "request body is not valid JSON"
+                }
+                # The worker read the whole body and is free again: the
+                # same keep-alive connection answers the next request.
+                conn.request("GET", "/health")
+                reply = conn.getresponse()
+                assert reply.status == 200
+                reply.read()
+            finally:
+                conn.close()
+            assert runtime.stats()["traces"] == 0
             self._assert_still_serving(endpoint, workload, sim)
 
     def test_non_object_event_payload_is_a_json_400(self, tmp_path):

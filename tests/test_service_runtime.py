@@ -14,6 +14,7 @@ from repro.capture.recorder import RecorderClient
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.errors import CaptureError, MappingError, ServiceError
 from repro.faults import FaultPlan, SimulatedCrash, active_plan
+from repro.model.records import RelationRecord
 from repro.processes import hiring
 from repro.processes.engine import ProcessSimulator, all_events
 from repro.processes.violations import ViolationPlan
@@ -53,6 +54,20 @@ def _served_payloads(runtime):
     return json.dumps(
         [result.to_payload() for result in runtime.verdicts()]
     )
+
+
+def _relation_rows(store):
+    """``(type, source, target, id)`` of every relation row, sorted."""
+    return sorted(
+        (r.entity_type, r.source_id, r.target_id, r.record_id)
+        for r in store.records()
+        if isinstance(r, RelationRecord)
+    )
+
+
+def _assert_no_repeated_edges(rows):
+    edges = [row[:3] for row in rows]
+    assert len(set(edges)) == len(edges)
 
 
 def _open_runtime(workload, cases=0, seed=2011, backend=None, **kwargs):
@@ -220,7 +235,22 @@ class TestSnapshotResume:
         second.ingest(events[half:])
         second.sync()
         assert _served_payloads(second) == _cold_sweep_payloads(sim2)
+        restarted = _relation_rows(sim2.store)
         second.shutdown()
+
+        # The same batches through one uninterrupted runtime: the restart
+        # neither repeats an edge nor shifts a relation id.
+        sim3, reference = self._attach_runtime(
+            workload, str(tmp_path / "reference.db")
+        )
+        reference.open()
+        reference.ingest(events[:half])
+        reference.sync()
+        reference.ingest(events[half:])
+        reference.sync()
+        assert restarted == _relation_rows(sim3.store)
+        _assert_no_repeated_edges(restarted)
+        reference.shutdown()
 
     def test_rows_appended_while_down_reevaluate_only_their_trace(
         self, tmp_path
@@ -250,6 +280,47 @@ class TestSnapshotResume:
         # One touched trace -> one pair per control, not 5 traces' worth.
         assert 0 < report.evaluated <= len(sim2.controls)
         assert _served_payloads(second) == _cold_sweep_payloads(sim2)
+        second.shutdown()
+
+
+class TestOpenReadsNoRows:
+    """Opening a runtime over a snapshotted store decodes no row: the
+    lanes' correlation keeps no store-wide edge set, and the REL id
+    sequence resumes from one backend aggregate."""
+
+    @pytest.mark.parametrize("shards", [1, 4], ids=["plain", "4-shard"])
+    def test_restart_with_correlation_decodes_nothing(
+        self, shards, tmp_path, monkeypatch
+    ):
+        from tests.test_store_query import count_decodes
+
+        path = str(tmp_path / "open.db")
+        workload = hiring.workload()
+        assert workload.correlation_rules()
+
+        def attach():
+            if shards == 1:
+                backend = SQLiteBackend(path)
+            else:
+                backend = ShardedBackend.for_sqlite(path, shards)
+            store = ProvenanceStore(
+                model=workload.build_model(), backend=backend
+            )
+            return ComplianceRuntime.from_simulation(
+                workload.attach(store), workload=workload, owns_store=True
+            )
+
+        first = attach()
+        first.open()
+        assert first.ingest(_event_stream(workload, cases=6)).correlated
+        first.shutdown()
+
+        counts = count_decodes(monkeypatch)
+        second = attach()
+        report = second.open()
+        assert report.restored
+        assert report.evaluated == 0
+        assert counts["decodes"] == 0
         second.shutdown()
 
 
@@ -363,23 +434,22 @@ class _LaneContract:
     def _backend(self, medium):
         raise NotImplementedError
 
+    def _attach(self, medium, workload):
+        store = ProvenanceStore(
+            model=workload.build_model(), backend=self._backend(medium)
+        )
+        sim = workload.attach(store)
+        runtime = ComplianceRuntime.from_simulation(
+            sim, workload=workload, owns_store=True
+        )
+        return sim, runtime
+
     @pytest.fixture
     def attach(self, tmp_path):
         """Opens a fresh runtime over this test's medium on every call,
         so a second call is a restart over the same rows."""
         medium = self._medium(tmp_path)
-
-        def attach(workload):
-            store = ProvenanceStore(
-                model=workload.build_model(), backend=self._backend(medium)
-            )
-            sim = workload.attach(store)
-            runtime = ComplianceRuntime.from_simulation(
-                sim, workload=workload, owns_store=True
-            )
-            return sim, runtime
-
-        return attach
+        return lambda workload: self._attach(medium, workload)
 
     def test_lane_parallel_ingest_matches_cold_sweep(self, attach):
         """N threads × the lanes, with a mid-stream snapshot: parity."""
@@ -460,7 +530,9 @@ class _LaneContract:
         )
         runtime.shutdown()
 
-    def test_sharded_restart_resumes_with_zero_reevaluations(self, attach):
+    def test_sharded_restart_resumes_with_zero_reevaluations(
+        self, attach, tmp_path
+    ):
         workload = hiring.workload()
         events = _event_stream(workload, cases=6)
 
@@ -481,7 +553,21 @@ class _LaneContract:
         assert again.duplicates > 0
         second.sync()
         assert _served_payloads(second) == _cold_sweep_payloads(sim2)
+        restarted = _relation_rows(sim2.store)
         second.shutdown()
+
+        # One uninterrupted run over a fresh medium mints the same
+        # relations under the same ids, and the replay repeated no edge.
+        (tmp_path / "reference").mkdir()
+        sim3, reference = self._attach(
+            self._medium(tmp_path / "reference"), workload
+        )
+        reference.open()
+        reference.ingest(events)
+        reference.sync()
+        assert restarted == _relation_rows(sim3.store)
+        _assert_no_repeated_edges(restarted)
+        reference.shutdown()
 
     def test_lane_crash_reopen_recovers_to_cold_sweep_parity(self, attach):
         """A lane dying mid-batch loses nothing already committed; a

@@ -229,6 +229,46 @@ class TestUnindexedConformance:
         scanning.close()
 
 
+class TestHighestId:
+    """``highest_id`` resumes id sequences after a reopen: numeric order,
+    all-digit suffixes only, and rows still in a write buffer count."""
+
+    @pytest.mark.parametrize(
+        "kind", ["memory", "sqlite-file", "sharded-4", "faulty-sqlite"]
+    )
+    def test_highest_numeric_suffix(self, kind, tmp_path):
+        backend = make_backend(kind, tmp_path)
+        store = ProvenanceStore(backend=backend)
+        assert backend.highest_id("REL") == 0
+
+        def append(record_id, app_id):
+            store.append(
+                DataRecord.create(
+                    record_id, app_id, "jobrequisition",
+                    attributes={"reqid": record_id},
+                )
+            )
+
+        for record_id, app_id in (
+            ("REL9", "App01"),
+            ("RELAY", "App02"),
+            ("REL", "App03"),
+            ("REL3x", "App04"),
+            ("PE12", "App05"),
+        ):
+            append(record_id, app_id)
+        assert backend.highest_id("REL") == 9
+        # REL10 is still buffered (unflushed) on SQLite and staged on the
+        # faulty proxy, and it beats REL9 as a number, not as a string.
+        append("REL10", "App02")
+        assert backend.highest_id("REL") == 10
+        assert backend.highest_id("PE") == 12
+        assert backend.highest_id("App") == 0
+        store.flush()
+        assert backend.highest_id("REL") == 10
+        store.close()
+
+
 class TestMemorySpecifics:
     def test_answers_are_copies(self):
         """Readers get slices: a caller (or a FaultyBackend appending its

@@ -162,28 +162,29 @@ class TestXpathParseMemo:
         assert query_module.xml_parse_count() - before == 1
 
 
+def count_decodes(monkeypatch):
+    """Count every row decode (XML or columnar) from here on."""
+    from repro.store.columnar import ColumnarCodec
+    from repro.store.xmlcodec import XmlCodec
+
+    counts = {"decodes": 0}
+    for cls, name in (
+        (XmlCodec, "decode_row"),
+        (ColumnarCodec, "decode_cols"),
+    ):
+        original = getattr(cls, name)
+
+        def counted(self, *args, _original=original, **kwargs):
+            counts["decodes"] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
 class TestOpenReadsNoRows:
     """Opening a store decodes nothing: finding rows is the backend's job,
     so there is no store-side index to hydrate from the table."""
-
-    @staticmethod
-    def _count_decodes(monkeypatch):
-        from repro.store.columnar import ColumnarCodec
-        from repro.store.xmlcodec import XmlCodec
-
-        counts = {"decodes": 0}
-        for cls, name in (
-            (XmlCodec, "decode_row"),
-            (ColumnarCodec, "decode_cols"),
-        ):
-            original = getattr(cls, name)
-
-            def counted(self, *args, _original=original, **kwargs):
-                counts["decodes"] += 1
-                return _original(self, *args, **kwargs)
-
-            monkeypatch.setattr(cls, name, counted)
-        return counts
 
     @pytest.mark.parametrize("shards", [1, 4], ids=["plain", "4-shard"])
     def test_open_over_populated_sqlite_decodes_nothing(
@@ -206,7 +207,7 @@ class TestOpenReadsNoRows:
             store.extend(sample_records(f"App{index:02d}"))
         store.close()
 
-        counts = self._count_decodes(monkeypatch)
+        counts = count_decodes(monkeypatch)
         reopened = ProvenanceStore(backend=backend())
         assert len(reopened) == 24
         assert counts["decodes"] == 0

@@ -9,6 +9,7 @@ import pytest
 
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.controls.status import ComplianceStatus
+from repro.model.records import RelationRecord
 from repro.processes import expenses, hiring, incidents, procurement
 from repro.processes.violations import ViolationPlan
 from repro.processes.visibility import VisibilityPolicy
@@ -39,6 +40,23 @@ def run_workload(module, cases=25, seed=5, rate=0.25, visibility=None):
     results = evaluator.run(sim.controls)
     truth = sim.ground_truth_for(workload.ground_truth)
     return sim, results, truth
+
+
+class TestRelationsStayInTrace:
+    """Correlation dedups edges per trace.  That is sound only because no
+    relation crosses traces: its row and both endpoints share an APPID."""
+
+    def test_relation_and_endpoints_share_an_appid(self, module):
+        sim, __, __ = run_workload(module)
+        relations = [
+            r for r in sim.store.records() if isinstance(r, RelationRecord)
+        ]
+        assert relations
+        for relation in relations:
+            source = sim.store.get(relation.source_id)
+            target = sim.store.get(relation.target_id)
+            assert source.app_id == relation.app_id, relation.record_id
+            assert target.app_id == relation.app_id, relation.record_id
 
 
 class TestFullVisibilityAgreement:
