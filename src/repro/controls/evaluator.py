@@ -21,7 +21,10 @@ Underneath, two sweep-speed mechanisms stack:
 
 - **shared evaluation contexts** — each trace's graph and XOM wrapping are
   built once (a :class:`~repro.brms.bal.evaluate.TraceFrame`), cached, and
-  invalidated per trace when the store appends records to that trace,
+  invalidated per trace when the store appends records to that trace.  A
+  sweep that finds most traces without a frame (a cold start) builds them
+  from one projected store scan; a sweep after a few appends reads only
+  the touched traces (:meth:`ComplianceEvaluator.prime_frames`),
 - **compiled rule execution** — the engine defaults to the closure-codegen
   back end (``execution_mode="compiled"``).
 """
@@ -51,6 +54,10 @@ from repro.graph.build import build_trace_graph, graph_from_records
 from repro.graph.graph import ProvenanceGraph
 from repro.model.records import ProvenanceRecord
 from repro.store.store import ProvenanceStore
+
+#: Share of the store's traces that must lack a frame before a sweep
+#: scans the store; see :meth:`ComplianceEvaluator.prime_frames`.
+SCAN_SHARE = 0.8
 
 
 def _check_with_frame(
@@ -283,14 +290,34 @@ class ComplianceEvaluator:
         trace_ids: Sequence[str],
         controls: Optional[Sequence[InternalControl]] = None,
     ) -> None:
-        """Build the missing frames among *trace_ids* from one store scan.
+        """Build the missing frames among *trace_ids* from one store scan,
+        when most of the store's traces need one.
 
-        The sweep-friendly path: materializing many traces costs one
-        sequential backend pass instead of one indexed point-lookup chain
-        per trace.  A single missing frame keeps the per-trace query path
-        (O(trace) on an indexed store), and so does an unindexed store:
-        with the E8 ablation knob off, every evaluation is *supposed* to
-        pay a table scan.
+        A scan decodes every row of every trace, so it pays only when at
+        least :data:`SCAN_SHARE` of the store's traces lack a frame (a
+        cold sweep, a restart without a snapshot).  Below that share the
+        call returns and :meth:`evaluate_pair` builds each missing frame
+        from its own trace through the backend's APPID push-down, so a
+        read after a write costs what the write touched, not the store.
+
+        The share comes from building k random traces' frames both ways
+        on 4-shard SQLite perfbench fixtures (seed 101, shared 2-vCPU
+        host), median ms, scan vs per-trace reads:
+
+        ======  ===============  ===============
+        share   1,000 traces     3,000 traces
+        ======  ===============  ===============
+        10%     481 vs 64        --
+        50%     452 vs 301       1,439 vs 934
+        70%     622 vs 575       1,484 vs 1,299
+        80%     545 vs 517       1,486 vs 1,509
+        90%     494 vs 593       1,376 vs 1,608
+        100%    485 vs 614       1,504 vs 1,893
+        ======  ===============  ===============
+
+        Per-trace reads win up to 70%, the two tie at 80%, and the scan
+        wins from 90%.  An unindexed store (the E8 ablation knob) never
+        primes: every evaluation there is *supposed* to pay a table scan.
 
         When *controls* is given and their attribute read set is bounded,
         the scan materializes only the referenced columns (on backends
@@ -307,7 +334,9 @@ class ComplianceEvaluator:
             for t in trace_ids
             if self._cached_frame(t, projection) is None
         ]
-        if len(missing) < 2:
+        if not missing or len(missing) < SCAN_SHARE * len(
+            self.store.app_ids()
+        ):
             return
         grouped, applied = self._grouped_records(projection)
         for trace_id in missing:

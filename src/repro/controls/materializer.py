@@ -350,8 +350,10 @@ class VerdictMaterializer:
         Returns one row per (trace, control) in canonical sweep order —
         traces in first-seen order (or the *trace_ids* given), controls in
         the order passed — byte-identical to a cold full sweep.  Only
-        dirty (or never-evaluated) pairs are evaluated, their frames primed
-        from one store scan.
+        dirty (or never-evaluated) pairs are evaluated.  Their frames come
+        from one store scan when most of the store's traces are stale, and
+        from each stale trace's own rows otherwise
+        (:meth:`~repro.controls.evaluator.ComplianceEvaluator.prime_frames`).
         """
         for control in controls:
             self.register(control)

@@ -35,6 +35,9 @@ point                                       site
                                             not yet written
 ``materializer.restore.mid_restore``        snapshot loaded, catch-up not
                                             yet marked
+``runtime.cache_key.between_halves``       verdict-cache key has read the
+                                            materializer epoch, not yet
+                                            the lane commit counters
 ==========================================  =================================
 """
 

@@ -73,6 +73,7 @@ from repro.controls.materializer import (
 )
 from repro.controls.status import ComplianceResult
 from repro.errors import ServiceError
+from repro.faults.points import crash_point
 from repro.service.lanes import IngestLane
 from repro.service.transport import IngestReply
 from repro.store.cursor import cursor_to_wire
@@ -432,6 +433,7 @@ class ComplianceRuntime:
         # torn read can only produce a key that *misses* — never a stale
         # hit.
         epoch = self.materializer.epoch
+        crash_point("runtime.cache_key.between_halves")
         return (epoch, tuple(lane.commits for lane in self._lanes))
 
     def _verdict_results(self) -> List[ComplianceResult]:

@@ -9,6 +9,7 @@ every execution mode returns the same rows.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -173,3 +174,81 @@ class TestSweepParity:
             tid for tid in ids for __ in sim.controls
         ]
 
+
+class TestPrimeFramesCutoff:
+    """A sweep scans the store only when at least ``SCAN_SHARE`` of its
+    traces lack a frame; fewer missing frames are read trace by trace."""
+
+    CASES = 10
+
+    @staticmethod
+    def _grow(store, trace_ids):
+        """Append one clone of each trace's latest record."""
+        for trace_id in trace_ids:
+            template = max(
+                (r for r in store.records() if r.app_id == trace_id),
+                key=lambda r: r.timestamp,
+            )
+            store.append(
+                dataclasses.replace(
+                    template,
+                    record_id=f"{template.record_id}-clone",
+                    timestamp=template.timestamp + 1000,
+                )
+            )
+
+    def _sweeps(self, tmp_path, name, dirty_steps):
+        """Cold sweep, then per step: grow those traces and sweep again.
+        Returns the last sweep's payloads, the evaluator's projected
+        sweep count after each sweep, and a cold sweep's payloads."""
+        import json
+
+        from repro.store.backends import SQLiteBackend
+
+        sim = hiring.workload().simulate(
+            cases=self.CASES,
+            seed=9,
+            violations=ViolationPlan.uniform(
+                list(hiring.VIOLATION_KINDS), 0.3
+            ),
+            backend=SQLiteBackend(str(tmp_path / f"{name}.db")),
+        )
+        ids = sim.store.app_ids()
+        assert len(ids) == self.CASES
+
+        def evaluator():
+            return ComplianceEvaluator(
+                sim.store, sim.xom, sim.vocabulary,
+                observable_types=sim.observable_types,
+            )
+
+        def payloads(results):
+            return json.dumps([r.to_payload() for r in results])
+
+        warm = evaluator()
+        warm.run(sim.controls)
+        scans = [warm.projected_sweeps]
+        for step in dirty_steps:
+            self._grow(sim.store, [ids[i] for i in step])
+            results = warm.run(sim.controls)
+            scans.append(warm.projected_sweeps)
+        cold = payloads(evaluator().run(sim.controls))
+        sim.store.close()
+        return payloads(results), scans, cold
+
+    def test_scan_starts_exactly_at_the_cutoff(self, tmp_path):
+        at = math.ceil(evaluator_module.SCAN_SHARE * self.CASES)
+        assert 2 <= at <= self.CASES
+        # Both stores end with the same rows; the first meets them
+        # through sweeps whose missing sets stay just below the cutoff.
+        below_rows, below_scans, below_cold = self._sweeps(
+            tmp_path, "below", [[0], range(1, at)]
+        )
+        at_rows, at_scans, at_cold = self._sweeps(
+            tmp_path, "at", [range(at)]
+        )
+        # A cold sweep is one projected scan; below the cutoff no sweep
+        # scans again, at it the sweep does.
+        assert below_scans == [1, 1, 1]
+        assert at_scans == [1, 2]
+        assert below_rows == at_rows == below_cold == at_cold

@@ -136,7 +136,7 @@ class TestCorruptedRows:
             decode_row(truncated)
 
     @staticmethod
-    def _tampered_db(tmp_path):
+    def _tampered_db(tmp_path, cases=2):
         """A SQLite store with one trace's row truncated at rest."""
         import sqlite3
 
@@ -144,7 +144,7 @@ class TestCorruptedRows:
 
         path = str(tmp_path / "tampered.db")
         sim = hiring.workload().simulate(
-            cases=2, seed=17, backend=SQLiteBackend(path)
+            cases=cases, seed=17, backend=SQLiteBackend(path)
         )
         sim.store.close()
         conn = sqlite3.connect(path)
@@ -207,6 +207,90 @@ class TestCorruptedRows:
         assert any(
             t.result.status is ComplianceStatus.ERROR for t in transitions
         )
+        store.close()
+
+    def test_tampered_clean_trace_does_not_poison_dirty_reads(
+        self, tmp_path, monkeypatch
+    ):
+        """A sweep after appends to two clean traces reads those traces
+        only: the tampered trace is never decoded again, so its damage
+        cannot fail the shared read, and it keeps its verdicts."""
+        import dataclasses
+        import json
+
+        from repro.store.backends import SQLiteBackend
+        from repro.store.columnar import ColumnarCodec
+        from repro.store.store import ProvenanceStore as Store
+        from repro.store.xmlcodec import XmlCodec
+
+        path, sim = self._tampered_db(tmp_path, cases=10)
+        store = Store(model=sim.model, backend=SQLiteBackend(path))
+        assert len(store.app_ids()) == 10
+        evaluator = ComplianceEvaluator(store, sim.xom, sim.vocabulary)
+
+        def by_trace(results):
+            grouped = {}
+            for result in results:
+                grouped.setdefault(result.trace_id, []).append(
+                    json.dumps(result.to_payload())
+                )
+            return grouped
+
+        before = by_trace(evaluator.run(sim.controls))
+        assert all('"status": "error"' in row for row in before["App01"])
+
+        dirty = ["App02", "App03"]
+        for trace_id in dirty:
+            template = max(
+                store.select(RecordQuery(app_id=trace_id)),
+                key=lambda r: r.timestamp,
+            )
+            store.append(
+                dataclasses.replace(
+                    template,
+                    record_id=f"{template.record_id}-late",
+                    timestamp=template.timestamp + 1000,
+                )
+            )
+
+        decoded_traces = set()
+        for cls, name in (
+            (XmlCodec, "decode_row"),
+            (ColumnarCodec, "decode_cols"),
+        ):
+            original = getattr(cls, name)
+
+            def spy(self, row, *args, _original=original, **kwargs):
+                decoded_traces.add(row.app_id)
+                return _original(self, row, *args, **kwargs)
+
+            monkeypatch.setattr(cls, name, spy)
+        primed = []
+        original_prime = ComplianceEvaluator.prime_frames
+
+        def prime(self, *args, **kwargs):
+            try:
+                original_prime(self, *args, **kwargs)
+            except Exception as exc:
+                primed.append(exc)
+                raise
+            primed.append(None)
+
+        monkeypatch.setattr(ComplianceEvaluator, "prime_frames", prime)
+
+        after = by_trace(evaluator.run(sim.controls))
+        # The StoreError fallback was never needed.
+        assert primed == [None]
+        assert "App01" not in decoded_traces
+        assert after["App01"] == before["App01"]
+        cold = by_trace(
+            ComplianceEvaluator(store, sim.xom, sim.vocabulary).run(
+                sim.controls
+            )
+        )
+        for trace_id in dirty:
+            assert not any('"status": "error"' in r for r in after[trace_id])
+        assert after == cold
         store.close()
 
 

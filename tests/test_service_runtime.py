@@ -24,6 +24,7 @@ from repro.store.backends import (
     ShardedBackend,
     SQLiteBackend,
 )
+from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
 
 
@@ -415,6 +416,58 @@ class TestConcurrency:
         assert not runtime.background_running
 
 
+class TestVerdictCacheTornRead:
+    """The verdict read cache is checked without a lock, so its key can
+    be read torn: the epoch before a write, the commit vector after.
+    Epoch first, commits second makes every torn key a miss."""
+
+    POINT = "runtime.cache_key.between_halves"
+
+    class _WriteBetweenHalves(FaultPlan):
+        """At the first torn key: ingest a batch, then (optionally) run
+        one full read that refills the cache for the new rows."""
+
+        def __init__(self, runtime, batch, refill):
+            super().__init__(seed=0)
+            self.runtime, self.batch, self.refill = runtime, batch, refill
+            self.done = False
+
+        def reached_point(self, point):
+            super().reached_point(point)
+            if point == TestVerdictCacheTornRead.POINT and not self.done:
+                self.done = True
+                self.runtime.ingest(self.batch)
+                if self.refill:
+                    self.runtime.verdicts()
+
+    @pytest.mark.parametrize("refill", [True, False], ids=["refilled", "stale"])
+    def test_torn_cache_key_misses(self, refill):
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(workload)
+        runtime.open()
+        events = _event_stream(workload, cases=6, seed=31)
+        late = events[-1].app_id
+        runtime.ingest([e for e in events if e.app_id != late])
+        stale = _served_payloads(runtime)
+        assert _served_payloads(runtime) == stale  # cached
+        counters = runtime.stats()["verdict_cache"]
+
+        plan = self._WriteBetweenHalves(
+            runtime, [e for e in events if e.app_id == late], refill
+        )
+        with active_plan(plan):
+            torn = _served_payloads(runtime)
+        assert plan.done
+        after = runtime.stats()["verdict_cache"]
+        # The refill (when made) and the torn read each missed; neither
+        # was served from the cache.
+        assert after["hits"] == counters["hits"]
+        assert after["misses"] == counters["misses"] + 1 + refill
+        assert torn != stale
+        assert torn == _cold_sweep_payloads(sim)
+        runtime.shutdown()
+
+
 class _LaneContract:
     """Per-shard ingest lanes + the verdict cache, for one store shape.
 
@@ -426,6 +479,8 @@ class _LaneContract:
     """
 
     SHARDS = 1
+    #: whether reads decode stored rows (every shape but memory).
+    DECODES_ROWS = True
 
     def _medium(self, tmp_path):
         """What survives a restart: a memory backend or a database path."""
@@ -530,6 +585,80 @@ class _LaneContract:
         )
         runtime.shutdown()
 
+    def test_read_after_write_reads_only_the_touched_traces(
+        self, attach, monkeypatch
+    ):
+        """A read right after a small ingest builds frames for the traces
+        the ingest touched, never from a whole-store scan."""
+        from tests.test_store_query import count_decodes
+
+        workload = hiring.workload()
+        sim, runtime = attach(workload)
+        runtime.open()
+        events = _event_stream(workload, cases=34, seed=23)
+        late = sorted({event.app_id for event in events})[30:]
+        runtime.ingest([e for e in events if e.app_id not in late])
+        assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
+
+        # Four rounds: each sends half of two late traces' events, so
+        # the first round of a pair adds traces and the second appends
+        # to traces already in the store.
+        rounds = []
+        for pair in (late[:2], late[2:]):
+            halves = [
+                [e for e in events if e.app_id == trace] for trace in pair
+            ]
+            for part in (0, 1):
+                batch = []
+                for trace_events in halves:
+                    cut = len(trace_events) // 2
+                    batch += (
+                        trace_events[:cut] if part == 0
+                        else trace_events[cut:]
+                    )
+                rounds.append((pair, batch))
+
+        scans = []
+        armed = [False]
+        for name in ("records_by_trace", "records_by_trace_projected"):
+            original = getattr(ProvenanceStore, name)
+
+            def spy(self, *args, _name=name, _original=original, **kw):
+                if armed[0]:
+                    scans.append(_name)
+                return _original(self, *args, **kw)
+
+            monkeypatch.setattr(ProvenanceStore, name, spy)
+        counts = count_decodes(monkeypatch)
+
+        for touched, batch in rounds:
+            decodes_before = counts["decodes"]
+            rows_before = len(sim.store)
+            armed[0] = True
+            runtime.ingest(batch)
+            violated = runtime.verdicts(status="violated")
+            served = _served_payloads(runtime)
+            armed[0] = False
+            decoded = counts["decodes"] - decodes_before
+            assert scans == []
+            expected = _cold_sweep_payloads(sim)
+            assert served == expected
+            assert [r.to_payload() for r in violated] == [
+                payload for payload in json.loads(expected)
+                if payload["status"] == "violated"
+            ]
+            if self.DECODES_ROWS:
+                # The read folds each new row once (the materializer's
+                # observers see it), then builds each touched trace's
+                # frame from that trace's rows.
+                added = len(sim.store) - rows_before
+                held = sum(
+                    len(sim.store.select(RecordQuery(app_id=trace)))
+                    for trace in touched
+                )
+                assert decoded <= held + added
+        runtime.shutdown()
+
     def test_sharded_restart_resumes_with_zero_reevaluations(
         self, attach, tmp_path
     ):
@@ -631,6 +760,8 @@ class TestShardedLanes(_LaneContract):
 class TestMemoryLane(_LaneContract):
     """The lane contract over one plain memory backend: the lane shares
     the backend object, and a restart reopens that same object."""
+
+    DECODES_ROWS = False
 
     def _medium(self, tmp_path):
         return MemoryBackend()
