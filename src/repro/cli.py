@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Four subcommands wrap the common flows so the system is drivable without
+The subcommands wrap the common flows so the system is drivable without
 writing Python::
 
     python -m repro simulate hiring --cases 50 --violation-rate 0.2
@@ -15,15 +15,14 @@ writing Python::
   ``--incremental`` it restores the materialized verdict snapshot from the
   backend, re-evaluates only traces that changed since it was saved, and
   saves the updated snapshot back,
-- ``watch`` tails a (SQLite) store's change feed: rows appended by other
-  processes are folded in on each poll and only the affected
-  (control, trace) pairs re-evaluate, printing verdict transitions live,
 - ``serve`` runs the long-lived compliance service: a
   :class:`~repro.service.runtime.ComplianceRuntime` over the store with a
   background refresh loop and a stdlib HTTP front end — recorder clients
-  POST event batches to ``/ingest`` while readers GET fresh verdicts, and
-  a graceful shutdown persists the verdict snapshot so a restart resumes
-  from its cursor::
+  POST event batches to ``/ingest`` while readers GET fresh verdicts; the
+  refresh loop also folds in rows other processes append to the store,
+  and ``/transitions`` streams the verdict changes live.  A graceful
+  shutdown persists the verdict snapshot so a restart resumes from its
+  cursor::
 
       python -m repro serve hiring --backend sqlite --db out.db --port 8787
 
@@ -56,7 +55,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from typing import List, Optional
 
 from repro.controls.dashboard import ComplianceDashboard
@@ -164,32 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "saved, and save the updated snapshot back (most useful with "
             "--backend sqlite --db, where snapshots survive the process)"
         ),
-    )
-
-    watch = sub.add_parser(
-        "watch",
-        help=(
-            "tail a store's change feed, re-evaluating affected pairs as "
-            "rows arrive"
-        ),
-    )
-    add_workload_args(watch)
-    watch.add_argument(
-        "--execution-mode", choices=("compiled", "interpret"),
-        default="compiled",
-        help="rule execution back end (see 'check')",
-    )
-    watch.add_argument(
-        "--interval", type=float, default=1.0, metavar="SECONDS",
-        help="poll interval between change-feed syncs",
-    )
-    watch.add_argument(
-        "--once", action="store_true",
-        help="sync and refresh a single time, then exit (for scripting)",
-    )
-    watch.add_argument(
-        "--max-polls", type=int, default=None, metavar="N",
-        help="exit after N polls (default: watch until interrupted)",
     )
 
     serve = sub.add_parser(
@@ -428,59 +400,6 @@ def cmd_check(args, out) -> int:
         return 1 if dashboard.exceptions() else 0
     finally:
         sim.store.close()
-
-
-def cmd_watch(args, out) -> int:
-    """Thin client of the service runtime's continuous-evaluation loop.
-
-    Built *without* the workload's mapping/correlation: watch observes a
-    feed other processes write to; it never adds rows of its own.
-    """
-    from repro.service import ComplianceRuntime
-
-    __, __, sim = _simulate(args)
-    runtime = ComplianceRuntime.from_simulation(
-        sim, execution_mode=args.execution_mode, owns_store=True
-    )
-    try:
-        report = runtime.open()
-        print(
-            f"watching {sim.workload_name!r}: "
-            f"{report.traces} traces at seq {report.last_seq}; "
-            f"{'snapshot restored, ' if report.restored else ''}"
-            f"{report.evaluated} pairs evaluated at startup",
-            file=out,
-        )
-
-        def announce(transition) -> None:
-            if transition.changed:
-                print(f"  {transition.describe()}", file=out)
-
-        # Subscribed only after the startup sweep: the live feed shows
-        # changes, not the initial materialization.
-        runtime.subscribe(announce)
-
-        def on_poll(outcome) -> None:
-            if outcome.new_rows:
-                print(
-                    f"[seq {outcome.last_seq}] {outcome.new_rows} new "
-                    f"row(s), {outcome.refreshed} pair(s) re-evaluated",
-                    file=out,
-                )
-
-        # time.sleep resolved here, at call time, so a monkeypatched
-        # clock (the fake-clock tests) is honoured.
-        runtime.poll_loop(
-            interval=args.interval,
-            once=args.once,
-            max_polls=args.max_polls,
-            sleep=time.sleep,
-            on_poll=on_poll,
-        )
-        return 0
-    finally:
-        # Graceful exit = snapshot + flush + close, same as the server's.
-        runtime.shutdown()
 
 
 def cmd_serve(args, out) -> int:
@@ -754,20 +673,18 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if getattr(args, "shards", 1) < 1:
         parser.error("--shards must be >= 1")
     if (
-        args.command in ("serve", "watch")
+        args.command == "serve"
         and args.backend == "sqlite"
         and not args.db
     ):
         # Each ingest lane forks its own connection per shard, and a
         # ``:memory:`` database cannot be shared with a second one.
-        parser.error(f"{args.command} with --backend sqlite needs --db")
+        parser.error("serve with --backend sqlite needs --db")
     try:
         if args.command == "simulate":
             return cmd_simulate(args, out)
         if args.command == "check":
             return cmd_check(args, out)
-        if args.command == "watch":
-            return cmd_watch(args, out)
         if args.command == "serve":
             return cmd_serve(args, out)
         if args.command == "scenarios":

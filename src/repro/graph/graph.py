@@ -3,16 +3,15 @@
 A directed multigraph whose nodes are Data/Task/Resource/Custom records and
 whose edges are Relation records.  The graph is a *view* built from a store;
 it holds the records themselves so that queries against node attributes need
-no store round-trip.  Backed by :mod:`networkx` for the generic graph
-algorithms, wrapped so the rest of the library speaks provenance vocabulary
-(record classes, relation types) rather than raw networkx.
+no store round-trip.  Compliance verification only asks whether typed edges
+exist (§II.C), so the structure is plain nested dicts keyed by record id,
+and the rest of the library speaks provenance vocabulary (record classes,
+relation types) throughout.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
-
-import networkx as nx
 
 from repro.errors import GraphError
 from repro.model.records import (
@@ -23,16 +22,25 @@ from repro.model.records import (
 
 
 class ProvenanceGraph:
-    """Typed directed multigraph over provenance records."""
+    """Typed directed multigraph over provenance records.
+
+    Edges live in insertion-ordered nested dicts: ``_succ[u][v]`` maps a
+    relation id to its record, and ``_pred[v][u]`` is the *same* inner
+    dict.  Iteration order is therefore source nodes in insertion order,
+    then each node's neighbours in first-seen order, then relation ids;
+    re-adding a relation id overwrites that edge in place.
+    """
 
     def __init__(self, name: str = "provenance") -> None:
         self.name = name
-        self._graph = nx.MultiDiGraph(name=name)
         self._records: Dict[str, ProvenanceRecord] = {}
+        self._succ: Dict[str, Dict[str, Dict[str, RelationRecord]]] = {}
+        self._pred: Dict[str, Dict[str, Dict[str, RelationRecord]]] = {}
+        self._edge_count = 0
         # Typed-adjacency caches for the rule engine's hot path:
-        # node id → relation type → relations, built lazily per node from
-        # the same networkx iteration the uncached path uses (so edge order
-        # is identical), invalidated per endpoint on mutation.
+        # node id → relation type → relations, built lazily per node in
+        # the uncached path's edge order, invalidated per endpoint on
+        # mutation.
         self._in_cache: Dict[str, Dict[str, List[RelationRecord]]] = {}
         self._out_cache: Dict[str, Dict[str, List[RelationRecord]]] = {}
 
@@ -50,7 +58,8 @@ class ProvenanceGraph:
                 f"conflicting node record for id {record.record_id}"
             )
         self._records[record.record_id] = record
-        self._graph.add_node(record.record_id)
+        self._succ.setdefault(record.record_id, {})
+        self._pred.setdefault(record.record_id, {})
 
     def add_relation_record(self, relation: RelationRecord) -> None:
         """Add an edge; both endpoints must already be nodes.
@@ -59,24 +68,24 @@ class ProvenanceGraph:
         (the node's event was never captured); callers decide whether to
         skip or raise — the graph itself refuses silently-broken edges.
         """
-        if relation.source_id not in self._records:
+        source, target = relation.source_id, relation.target_id
+        if source not in self._records:
             raise GraphError(
-                f"relation {relation.record_id}: unknown source "
-                f"{relation.source_id}"
+                f"relation {relation.record_id}: unknown source {source}"
             )
-        if relation.target_id not in self._records:
+        if target not in self._records:
             raise GraphError(
-                f"relation {relation.record_id}: unknown target "
-                f"{relation.target_id}"
+                f"relation {relation.record_id}: unknown target {target}"
             )
-        self._graph.add_edge(
-            relation.source_id,
-            relation.target_id,
-            key=relation.record_id,
-            relation=relation,
-        )
-        self._out_cache.pop(relation.source_id, None)
-        self._in_cache.pop(relation.target_id, None)
+        keyed = self._succ[source].get(target)
+        if keyed is None:
+            keyed = self._succ[source][target] = {}
+            self._pred[target][source] = keyed
+        if relation.record_id not in keyed:
+            self._edge_count += 1
+        keyed[relation.record_id] = relation
+        self._out_cache.pop(source, None)
+        self._in_cache.pop(target, None)
 
     # -- nodes ---------------------------------------------------------------
 
@@ -110,62 +119,61 @@ class ProvenanceGraph:
 
     # -- edges ---------------------------------------------------------------
 
+    @staticmethod
+    def _flatten(
+        adjacency: Dict[str, Dict[str, RelationRecord]]
+    ) -> List[RelationRecord]:
+        return [
+            relation
+            for keyed in adjacency.values()
+            for relation in keyed.values()
+        ]
+
     def edges(
         self, relation_type: Optional[str] = None
     ) -> List[RelationRecord]:
         """All relation records, optionally of one type."""
         result = []
-        for __, __, data in self._graph.edges(data=True):
-            relation = data["relation"]
-            if relation_type is None or relation.entity_type == relation_type:
-                result.append(relation)
+        for adjacency in self._succ.values():
+            for relation in self._flatten(adjacency):
+                if relation_type is None or relation.entity_type == relation_type:
+                    result.append(relation)
         return result
 
     @property
     def edge_count(self) -> int:
-        return self._graph.number_of_edges()
+        return self._edge_count
+
+    def _typed(
+        self,
+        record_id: str,
+        relation_type: Optional[str],
+        adjacency: Dict[str, Dict[str, Dict[str, RelationRecord]]],
+        cache: Dict[str, Dict[str, List[RelationRecord]]],
+    ) -> List[RelationRecord]:
+        if record_id not in self._records:
+            return []
+        if relation_type is None:
+            return self._flatten(adjacency[record_id])
+        per_type = cache.get(record_id)
+        if per_type is None:
+            per_type = {}
+            for relation in self._flatten(adjacency[record_id]):
+                per_type.setdefault(relation.entity_type, []).append(relation)
+            cache[record_id] = per_type
+        return list(per_type.get(relation_type, ()))
 
     def edges_from(
         self, record_id: str, relation_type: Optional[str] = None
     ) -> List[RelationRecord]:
         """Outgoing relations of a node, optionally of one type."""
-        if record_id not in self._records:
-            return []
-        if relation_type is None:
-            return [
-                data["relation"]
-                for __, __, data in self._graph.out_edges(
-                    record_id, data=True
-                )
-            ]
-        per_type = self._out_cache.get(record_id)
-        if per_type is None:
-            per_type = {}
-            for __, __, data in self._graph.out_edges(record_id, data=True):
-                relation = data["relation"]
-                per_type.setdefault(relation.entity_type, []).append(relation)
-            self._out_cache[record_id] = per_type
-        return list(per_type.get(relation_type, ()))
+        return self._typed(record_id, relation_type, self._succ, self._out_cache)
 
     def edges_to(
         self, record_id: str, relation_type: Optional[str] = None
     ) -> List[RelationRecord]:
         """Incoming relations of a node, optionally of one type."""
-        if record_id not in self._records:
-            return []
-        if relation_type is None:
-            return [
-                data["relation"]
-                for __, __, data in self._graph.in_edges(record_id, data=True)
-            ]
-        per_type = self._in_cache.get(record_id)
-        if per_type is None:
-            per_type = {}
-            for __, __, data in self._graph.in_edges(record_id, data=True):
-                relation = data["relation"]
-                per_type.setdefault(relation.entity_type, []).append(relation)
-            self._in_cache[record_id] = per_type
-        return list(per_type.get(relation_type, ()))
+        return self._typed(record_id, relation_type, self._pred, self._in_cache)
 
     def has_edge(
         self, source_id: str, target_id: str, relation_type: Optional[str] = None
@@ -176,21 +184,17 @@ class ProvenanceGraph:
         compliance status of the internal control point is verified by
         checking if the edges specified in the definition […] exist" (§II.C).
         """
-        if not self._graph.has_edge(source_id, target_id):
+        keyed = self._succ.get(source_id, {}).get(target_id)
+        if not keyed:
             return False
         if relation_type is None:
             return True
-        edge_data = self._graph.get_edge_data(source_id, target_id)
         return any(
-            data["relation"].entity_type == relation_type
-            for data in edge_data.values()
+            relation.entity_type == relation_type
+            for relation in keyed.values()
         )
 
-    # -- interop -------------------------------------------------------------
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """The underlying networkx graph (shared, do not mutate)."""
-        return self._graph
+    # -- derived graphs ------------------------------------------------------
 
     def subgraph(self, record_ids: List[str]) -> "ProvenanceGraph":
         """A new graph containing only the given nodes and edges among them."""

@@ -78,38 +78,6 @@ def to_json(graph: ProvenanceGraph) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def to_graphml(graph: ProvenanceGraph) -> str:
-    """Render the graph as GraphML (for Gephi/yEd-style tooling).
-
-    Node attributes: record class, entity type, app id, timestamp.  Edge
-    attributes: relation type.  Built on networkx's GraphML writer over a
-    string-attribute copy of the graph (GraphML has no rich types).
-    """
-    import io
-
-    import networkx as nx
-
-    export = nx.MultiDiGraph(name=graph.name)
-    for record in graph.nodes():
-        export.add_node(
-            record.record_id,
-            record_class=record.record_class.value,
-            entity_type=record.entity_type,
-            app_id=record.app_id,
-            timestamp=record.timestamp,
-        )
-    for relation in graph.edges():
-        export.add_edge(
-            relation.source_id,
-            relation.target_id,
-            key=relation.record_id,
-            relation_type=relation.entity_type,
-        )
-    buffer = io.BytesIO()
-    nx.write_graphml(export, buffer)
-    return buffer.getvalue().decode("utf-8")
-
-
 def trace_census(graph: ProvenanceGraph) -> List[str]:
     """Plain-text census lines: node and edge counts by type.
 

@@ -1,7 +1,7 @@
 """The long-lived compliance service core.
 
 Every entry point the repo grew so far — ``simulate``/``check`` batch
-runs, the ``watch`` poll loop, deployed controls — was an arrangement of
+runs, deployed controls, the served runtime — is an arrangement of
 the same four parts: a :class:`~repro.store.store.ProvenanceStore`, a
 server-side recorder pipeline, correlation analytics, and the
 :class:`~repro.controls.materializer.VerdictMaterializer` behind a
@@ -20,9 +20,9 @@ object that owns all four and exposes a small session API —
 - :meth:`snapshot` — persist the verdict table + feed cursor so a
   restarted runtime resumes from its cursor instead of re-evaluating
   clean traces,
-- :meth:`poll_loop` / :meth:`start_background` — the continuous
-  evaluation loop, as a caller-driven loop (``watch`` is a thin client
-  of it) or a daemon thread behind a served runtime.
+- :meth:`start_background` — the continuous evaluation loop, a daemon
+  thread of :meth:`sync` ticks behind a served runtime; callers that
+  want their own cadence call :meth:`sync` directly.
 
 Compliance here is an always-on monitoring service over event streams
 (Governatori, arXiv 1403.6865), not an offline audit: recorder clients
@@ -48,11 +48,9 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Deque,
     Dict,
     List,
@@ -129,7 +127,7 @@ class ComplianceRuntime:
             :class:`~repro.controls.evaluator.ComplianceEvaluator` takes
             it; *controls* is the set served and kept fresh.
         mapping: event mapping for :meth:`ingest`; ``None`` makes the
-            runtime read-only over the stream (``watch`` style).
+            runtime read-only over the stream.
         correlation_rules: rules run incrementally over traces touched by
             ingest/sync; empty disables correlation (e.g. when an
             upstream pipeline owns it).
@@ -230,7 +228,7 @@ class ComplianceRuntime:
             self.evaluator.run(self.controls)
             evaluated = self.materializer.refreshes - before
             # Subscribe after the startup sweep: the live feed carries
-            # changes, not the initial materialization (watch semantics).
+            # changes, not the initial materialization.
             self.materializer.subscribe(self._on_transition)
             return StartupReport(
                 restored=restored,
@@ -419,8 +417,8 @@ class ComplianceRuntime:
         Folds in rows lanes and other processes appended to the shared
         backend (multi-writer recorders over a sharded store land here),
         correlates the touched traces, and refreshes every dirty
-        (control, trace) pair — the generalization of the old ``watch``
-        poll body.  ``new_rows`` counts every row folded into the global
+        (control, trace) pair; the background loop runs one per
+        interval.  ``new_rows`` counts every row folded into the global
         view, lane-ingested rows included.
         """
         with self._lock:
@@ -591,38 +589,6 @@ class ComplianceRuntime:
             raise ServiceError("runtime is not open")
 
     # -- continuous evaluation ----------------------------------------------
-
-    def poll_loop(
-        self,
-        interval: float,
-        once: bool = False,
-        max_polls: Optional[int] = None,
-        sleep: Callable[[float], None] = time.sleep,
-        on_poll: Optional[Callable[[SyncOutcome], None]] = None,
-    ) -> int:
-        """The caller-driven continuous-evaluation loop; returns polls run.
-
-        Each tick is one :meth:`sync`; *on_poll* sees every outcome
-        (``watch`` prints the non-empty ones).  *sleep* is injectable so
-        tests drive the loop with a fake clock.  ``KeyboardInterrupt``
-        exits cleanly — the loop's owner snapshots afterwards.
-        """
-        polls = 0
-        try:
-            while True:
-                outcome = self.sync()
-                if on_poll is not None:
-                    on_poll(outcome)
-                polls += 1
-                self.polls += 1
-                if once:
-                    break
-                if max_polls is not None and polls >= max_polls:
-                    break
-                sleep(interval)
-        except KeyboardInterrupt:  # pragma: no cover - interactive exit
-            pass
-        return polls
 
     @property
     def background_running(self) -> bool:

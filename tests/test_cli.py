@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import contextlib
 import io
 import re
+import threading
+import time
 
 import pytest
 
@@ -119,21 +122,152 @@ class TestIncrementalCheck:
         assert "COMPLIANCE DASHBOARD" in text
 
 
-class TestWatch:
-    def test_watch_once_reports_startup_sweep(self, tmp_path):
-        db = str(tmp_path / "watch.db")
+class TestServe:
+    """``serve`` is the one continuous-evaluation loop: its startup sweep,
+    snapshot restore, background tick over out-of-band appends, and
+    graceful shutdown, driven end to end through ``main``."""
+
+    @staticmethod
+    def _simulated_db(tmp_path, cases=5):
+        db = str(tmp_path / "serve.db")
         run_cli(
-            "simulate", "hiring", "--cases", "5",
+            "simulate", "hiring", "--cases", str(cases),
             "--backend", "sqlite", "--db", db,
         )
+        return db
+
+    @staticmethod
+    def _append_out_of_band(db, record_id):
+        """Another process clones one App01 relation into the shared file.
+
+        A parallel ``notificationFor`` edge gives correlation nothing to
+        add, so exactly one row lands.
+        """
+        import dataclasses
+
+        from repro.store.backends import SQLiteBackend
+        from repro.store.store import ProvenanceStore
+
+        other = ProvenanceStore(backend=SQLiteBackend(db))
+        template = next(
+            r for r in other.records()
+            if r.app_id == "App01" and r.entity_type == "notificationFor"
+        )
+        other.append(dataclasses.replace(template, record_id=record_id))
+        other.close()
+
+    @staticmethod
+    def _request(endpoint, path, method="GET"):
+        import json
+        import urllib.request
+
+        request = urllib.request.Request(
+            endpoint + path, method=method,
+            data=b"{}" if method == "POST" else None,
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return json.loads(response.read().decode("utf-8"))
+
+    @contextlib.contextmanager
+    def _serving(self, db):
+        """Run ``serve`` on an ephemeral port in a thread; yields
+        (endpoint, output buffer, exit codes) and always stops it."""
+        out = io.StringIO()
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(
+                main(
+                    [
+                        "serve", "hiring", "--backend", "sqlite",
+                        "--db", db, "--port", "0", "--interval", "0.05",
+                    ],
+                    out=out,
+                )
+            ),
+            daemon=True,
+        )
+        thread.start()
+        deadline = time.monotonic() + 30.0
+        match = None
+        while match is None and thread.is_alive():
+            assert time.monotonic() < deadline, out.getvalue()
+            match = re.search(r"listening on (http://\S+)", out.getvalue())
+            time.sleep(0.01)
+        assert match is not None, out.getvalue()
+        try:
+            yield match.group(1), out, codes
+        finally:
+            if thread.is_alive():
+                try:
+                    self._request(match.group(1), "/shutdown", "POST")
+                except OSError:
+                    pass
+            thread.join(timeout=30.0)
+            assert not thread.is_alive()
+
+    def _serve_once(self, db):
+        with self._serving(db) as (endpoint, out, codes):
+            self._request(endpoint, "/shutdown", "POST")
+        assert codes == [0]
+        return out.getvalue()
+
+    def test_startup_banner_reports_the_sweep(self, tmp_path):
+        text = self._serve_once(self._simulated_db(tmp_path))
+        assert "serving 'new-position-open'" in text
+        match = re.search(r"(\d+) pairs evaluated at startup", text)
+        assert match is not None and int(match.group(1)) > 0
+        assert "snapshot restored" not in text
+        assert "stopped; verdict snapshot persisted" in text
+
+    def test_restart_catches_up_after_out_of_band_append(self, tmp_path):
+        db = self._simulated_db(tmp_path)
+        self._serve_once(db)  # saves the verdict snapshot on shutdown
+        # Another process appends to one trace while nobody is serving.
+        self._append_out_of_band(db, "oob-clone-1")
+        text = self._serve_once(db)
+        match = re.search(
+            r"snapshot restored, (\d+) pairs evaluated at startup", text
+        )
+        assert match is not None
+        # Only the touched trace's pairs re-evaluated, not all 5 traces'.
+        assert 0 < int(match.group(1)) <= 5
+
+    def test_background_tick_picks_up_live_appends(self, tmp_path):
+        """An append landing while the server runs is folded in by the
+        background tick itself, with no request driving a sync."""
+        db = self._simulated_db(tmp_path, cases=4)
+        with self._serving(db) as (endpoint, __, __):
+            before = self._request(endpoint, "/stats")["rows"]
+            assert self._request(endpoint, "/transitions")["newest"] == 0
+            self._append_out_of_band(db, "live-oob-1")
+            deadline = time.monotonic() + 30.0
+            feed = self._request(endpoint, "/transitions")
+            while feed["newest"] == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+                feed = self._request(endpoint, "/transitions")
+            # Only the touched trace's pairs re-evaluated.
+            assert {
+                entry["verdict"]["trace"] for entry in feed["transitions"]
+            } == {"App01"}
+            assert 0 < len(feed["transitions"]) <= 5
+            stats = self._request(endpoint, "/stats")
+            assert stats["rows"] == before + 1
+            assert stats["background_running"]
+
+    def test_shutdown_persists_the_snapshot(self, tmp_path):
+        db = self._simulated_db(tmp_path, cases=4)
+        self._serve_once(db)
+        # The snapshot written at shutdown makes the next incremental
+        # check a no-op catch-up, not a cold sweep.
         code, text = run_cli(
-            "watch", "hiring", "--backend", "sqlite", "--db", db, "--once",
+            "check", "hiring", "--backend", "sqlite", "--db", db,
+            "--incremental",
         )
         assert code == 0
-        assert "watching 'new-position-open'" in text
-        assert "pairs evaluated at startup" in text
+        assert "incremental: snapshot restored; 0 of" in text
 
-    @pytest.mark.parametrize("command", ["serve", "watch"])
+    @pytest.mark.parametrize("command", ["serve"])
     def test_sqlite_without_db_is_rejected_before_simulating(
         self, command, capsys
     ):
@@ -148,102 +282,11 @@ class TestWatch:
             f"repro: error: {command} with --backend sqlite needs --db"
         )
 
-    def test_watch_catches_up_after_out_of_band_append(self, tmp_path):
-        import dataclasses
-
-        from repro.store.backends import SQLiteBackend
-        from repro.store.store import ProvenanceStore
-
-        db = str(tmp_path / "watch.db")
-        run_cli(
-            "simulate", "hiring", "--cases", "5",
-            "--backend", "sqlite", "--db", db,
-        )
-        # First watch saves the verdict snapshot on exit.
-        run_cli(
-            "watch", "hiring", "--backend", "sqlite", "--db", db, "--once",
-        )
-        # Another process appends to one trace while nobody is watching.
-        other = ProvenanceStore(backend=SQLiteBackend(db))
-        template = next(r for r in other.records() if r.app_id == "App01")
-        other.append(
-            dataclasses.replace(template, record_id="oob-clone-1")
-        )
-        other.close()
-        code, text = run_cli(
-            "watch", "hiring", "--backend", "sqlite", "--db", db, "--once",
-        )
-        assert code == 0
-        match = re.search(
-            r"snapshot restored, (\d+) pairs evaluated at startup", text
-        )
-        assert match is not None
-        # Only the touched trace's pairs re-evaluated, not all 5 traces'.
-        assert 0 < int(match.group(1)) <= 5
-
-    def test_poll_loop_is_bounded_and_picks_up_live_appends(
-        self, tmp_path, monkeypatch
-    ):
-        """`--max-polls N` polls exactly N times with the configured
-        interval; an append landing between polls is caught by the loop
-        itself (not the startup sweep)."""
-        import dataclasses
-
-        from repro.store.backends import SQLiteBackend
-        from repro.store.store import ProvenanceStore
-
-        db = str(tmp_path / "watch.db")
-        run_cli(
-            "simulate", "hiring", "--cases", "4",
-            "--backend", "sqlite", "--db", db,
-        )
-        sleeps = []
-
-        def fake_sleep(seconds):
-            # The fake clock stands in for wall time; on the first tick
-            # another "process" appends out-of-band.
-            sleeps.append(seconds)
-            if len(sleeps) == 1:
-                other = ProvenanceStore(backend=SQLiteBackend(db))
-                template = next(
-                    r for r in other.records() if r.app_id == "App01"
-                )
-                other.append(
-                    dataclasses.replace(template, record_id="live-oob-1")
-                )
-                other.close()
-
-        monkeypatch.setattr("repro.cli.time.sleep", fake_sleep)
-        code, text = run_cli(
-            "watch", "hiring", "--backend", "sqlite", "--db", db,
-            "--max-polls", "3", "--interval", "0.25",
-        )
-        assert code == 0
-        # 3 polls → 2 sleeps between them, at the configured interval.
-        assert sleeps == [0.25, 0.25]
-        match = re.search(r"\[seq \d+\] (\d+) new row\(s\)", text)
-        assert match is not None and int(match.group(1)) == 1
-
-    def test_poll_loop_saves_snapshot_on_exit(self, tmp_path, monkeypatch):
-        db = str(tmp_path / "watch.db")
-        run_cli(
-            "simulate", "hiring", "--cases", "4",
-            "--backend", "sqlite", "--db", db,
-        )
-        monkeypatch.setattr("repro.cli.time.sleep", lambda seconds: None)
-        code, __ = run_cli(
-            "watch", "hiring", "--backend", "sqlite", "--db", db,
-            "--max-polls", "2",
-        )
-        assert code == 0
-        # The snapshot written when the bounded loop exited makes the next
-        # incremental check a no-op catch-up, not a cold sweep.
-        code, text = run_cli(
-            "check", "hiring", "--backend", "sqlite", "--db", db,
-            "--incremental",
-        )
-        assert code == 0
-        assert "incremental: snapshot restored; 0 of" in text
+    def test_watch_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["watch", "hiring"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'watch'" in capsys.readouterr().err
 
 
 class TestChaos:

@@ -1,5 +1,10 @@
 """Unit tests for the provenance graph structure and building."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import GraphError
@@ -125,6 +130,84 @@ class TestGraphStructure:
         assert census["node:Data"] == 1
         assert census["edge:submitterOf"] == 1
 
+
+
+class TestEdgeOrder:
+    """The iteration-order contract the rule engine and renderers see:
+    source nodes in insertion order, then each node's neighbours in
+    first-seen order, then relation ids — not global insertion order."""
+
+    @pytest.fixture
+    def abc(self):
+        graph = ProvenanceGraph("order")
+        for record_id in ("A", "B", "C"):
+            graph.add_node_record(TaskRecord.create(record_id, "App01", "t"))
+        for record_id, target, kind in (
+            ("r1", "B", "x"), ("r2", "C", "y"), ("r3", "B", "y"),
+        ):
+            graph.add_relation_record(
+                RelationRecord.create(
+                    record_id, "App01", kind, source_id="A", target_id=target
+                )
+            )
+        return graph
+
+    @staticmethod
+    def ids(relations):
+        return [relation.record_id for relation in relations]
+
+    def test_edges_are_grouped_by_neighbour(self, abc):
+        assert self.ids(abc.edges_from("A")) == ["r1", "r3", "r2"]
+        assert self.ids(abc.edges()) == ["r1", "r3", "r2"]
+        assert self.ids(abc.edges_to("B")) == ["r1", "r3"]
+        assert self.ids(abc.edges_to("C")) == ["r2"]
+        assert self.ids(abc.edges_from("A", "y")) == ["r3", "r2"]
+
+    def test_edges_to_groups_by_predecessor(self, abc):
+        for record_id, source in (("r4", "C"), ("r5", "A")):
+            abc.add_relation_record(
+                RelationRecord.create(
+                    record_id, "App01", "z", source_id=source, target_id="B"
+                )
+            )
+        assert self.ids(abc.edges_to("B")) == ["r1", "r3", "r5", "r4"]
+        assert self.ids(abc.edges()) == ["r1", "r3", "r5", "r2", "r4"]
+
+    def test_readding_a_relation_id_overwrites_in_place(self, abc):
+        abc.edges_from("A", "x")  # warm the typed cache
+        abc.add_relation_record(
+            RelationRecord.create(
+                "r1", "App01", "w", source_id="A", target_id="B"
+            )
+        )
+        assert abc.edge_count == 3
+        assert self.ids(abc.edges_from("A")) == ["r1", "r3", "r2"]
+        assert abc.edges_from("A", "x") == []
+        assert self.ids(abc.edges_from("A", "w")) == ["r1"]
+
+    def test_typed_has_edge(self, abc):
+        assert abc.has_edge("A", "B", "y")
+        assert abc.has_edge("A", "B", "x")
+        assert not abc.has_edge("A", "C", "x")
+        assert not abc.has_edge("B", "A")
+        assert not abc.has_edge("UNKNOWN", "A")
+
+
+def test_cli_and_service_import_without_networkx():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import sys, repro.cli, repro.service; "
+            "print('networkx' in sys.modules)",
+        ],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert completed.stdout.strip() == "False"
 
 class TestBuildGraph:
     @pytest.fixture

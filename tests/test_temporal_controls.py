@@ -113,14 +113,3 @@ class TestOrderingControls:
         outcome = engine.evaluate(compiled, trace)
         assert outcome.verdict is RuleVerdict.SATISFIED
 
-
-class TestGraphml:
-    def test_graphml_export(self):
-        from repro.graph.serialize import to_graphml
-
-        trace = build_hiring_trace("App01")
-        text = to_graphml(trace)
-        assert text.startswith("<?xml")
-        assert "graphml" in text
-        assert "App01-D1" in text
-        assert "submitterOf" in text
