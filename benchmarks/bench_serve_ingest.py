@@ -213,14 +213,19 @@ def _occupancy(lanes, total_events):
 def _pr8_baseline():
     """The pre-lane measurement this artifact carries as its before.
 
-    Reads the committed root snapshot's entry for this bench; once that
-    entry is one of ours, the original baseline rides inside it as
+    Reads the latest entry of the root history that has this bench; once
+    that entry is one of ours, the original baseline rides inside it as
     ``baseline_pr8`` and is propagated unchanged.
     """
     try:
         with open(_SNAPSHOT, encoding="utf-8") as handle:
-            entry = json.load(handle)["artifacts"][_SLUG]["data"]
-    except (OSError, ValueError, KeyError):
+            entries = json.load(handle)["entries"]
+        entry = next(
+            entry["artifacts"][_SLUG]["data"]
+            for entry in reversed(entries)
+            if _SLUG in entry["artifacts"]
+        )
+    except (OSError, ValueError, KeyError, StopIteration):
         return None
     if "baseline_pr8" in entry:
         return entry["baseline_pr8"]

@@ -11,16 +11,19 @@ experiment's rows.  The regenerated text is:
   ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` captures
   the rows alongside pytest-benchmark's timing table).
 
-The headline experiments additionally snapshot to the repo root
-(``BENCH_e5.json``, ``BENCH_e7.json``) so a checkout carries its latest
-measured numbers without digging into ``benchmarks/out/``.
+The headline experiments additionally record into history files at the
+repo root (``BENCH_e5.json``, ``BENCH_e7.json``): a list of entries, one
+per measured commit, so a checkout carries every measurement of them, not
+only the latest.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
+import subprocess
 from typing import Any, List, Optional, Tuple
 
 import pytest
@@ -29,13 +32,48 @@ _ARTIFACTS: List[Tuple[str, str]] = []
 _OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Root snapshot file → slug prefixes collected into it.  Snapshots merge
-# (keyed by slug), so partial benchmark runs update their own entry
-# without clobbering the others'.
+# Root history file → slug prefixes recorded into it.  Runs on one commit
+# merge into that commit's entry (keyed by slug), so partial benchmark runs
+# update their own artifact without clobbering the others'; a run on a new
+# commit appends a new entry.
 _ROOT_SNAPSHOTS = {
     "BENCH_e5.json": ("e5-", "bal-execution-modes"),
     "BENCH_e7.json": ("e7-",),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _commit() -> str:
+    """The checkout's short commit, ``+dirty`` when ``src/`` has
+    uncommitted changes, ``unknown`` outside a git checkout."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=_REPO_ROOT, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+
+    try:
+        commit = git("rev-parse", "--short", "HEAD")
+        dirty = git("status", "--porcelain", "--untracked-files=no", "--", "src")
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return commit + ("+dirty" if dirty else "")
+
+
+def _record_in_history(path: str, slug: str, payload: Any) -> None:
+    """Put *payload* into this commit's entry of the history at *path*:
+    the last entry when it is this commit's, otherwise a new one."""
+    entries = []
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as handle:
+            entries = json.load(handle)["entries"]
+    commit = _commit()
+    if not entries or entries[-1]["commit"] != commit:
+        entries.append({"commit": commit, "artifacts": {}})
+    entries[-1]["artifacts"][slug] = payload
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(_dump({"entries": entries}))
 
 
 def _slug(title: str) -> str:
@@ -85,18 +123,10 @@ def artifact():
         ) as handle:
             handle.write(_dump(payload))
         for snapshot, prefixes in _ROOT_SNAPSHOTS.items():
-            if not slug.startswith(tuple(prefixes)):
-                continue
-            snapshot_path = os.path.join(_REPO_ROOT, snapshot)
-            merged = {}
-            try:
-                with open(snapshot_path, encoding="utf-8") as handle:
-                    merged = json.loads(handle.read()).get("artifacts", {})
-            except (OSError, ValueError):
-                pass
-            merged[slug] = payload
-            with open(snapshot_path, "w", encoding="utf-8") as handle:
-                handle.write(_dump({"artifacts": merged}))
+            if slug.startswith(tuple(prefixes)):
+                _record_in_history(
+                    os.path.join(_REPO_ROOT, snapshot), slug, payload
+                )
 
     return record
 

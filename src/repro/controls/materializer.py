@@ -27,6 +27,11 @@ unchanged trace would produce (evaluation is deterministic and
 ``checked_at`` is a function of the trace), the table stays byte-identical
 to a cold full sweep — the differential interleaving suite asserts this.
 
+Each stored verdict is also kept JSON-encoded (``json.dumps`` of its
+:meth:`~repro.controls.status.ComplianceResult.to_payload`), encoded once
+when it is stored; served reads and snapshots join those bytes instead of
+re-encoding the table.
+
 Snapshots: :meth:`save` persists the table plus the feed cursor as backend
 auxiliary state keyed by a fingerprint of the registered controls;
 :meth:`restore` reloads it and replays ``changes_since(cursor)`` to mark
@@ -54,7 +59,7 @@ from typing import (
 
 from repro.controls.control import InternalControl
 from repro.controls.status import ComplianceResult, ComplianceStatus
-from repro.errors import StoreError
+from repro.errors import BrmsError, StoreError
 from repro.faults.points import crash_point
 from repro.model.records import ProvenanceRecord, RelationRecord
 from repro.store.cursor import (
@@ -68,6 +73,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Version tag of the snapshot wire format.
 _SNAPSHOT_VERSION = 1
+
+
+def _encode(result: ComplianceResult) -> bytes:
+    """A verdict's wire bytes; the one encoder for reads and snapshots."""
+    return json.dumps(result.to_payload()).encode()
 
 
 @dataclass(frozen=True)
@@ -137,6 +147,8 @@ class VerdictMaterializer:
         # record of the trace does (the exact-sweep-parity default).
         self._relevance: Dict[str, Optional[Set[str]]] = {}
         self._verdicts: Dict[Tuple[str, str], ComplianceResult] = {}
+        # Each stored verdict's wire bytes, json.dumps(to_payload()).
+        self._encoded: Dict[Tuple[str, str], bytes] = {}
         # Dirty (control, trace) pairs in first-marked order (dict keys:
         # deduped and FIFO, like the deployment's old tracking).
         self._dirty: Dict[Tuple[str, str], None] = {}
@@ -208,6 +220,17 @@ class VerdictMaterializer:
         """Every materialized verdict, in first-materialized order."""
         return list(self._verdicts.values())
 
+    def encoded_rows(
+        self, results: Iterable[ComplianceResult]
+    ) -> List[Tuple[ComplianceResult, bytes]]:
+        """Each stored result paired with its JSON bytes, exactly
+        ``json.dumps(result.to_payload()).encode()``."""
+        encoded = self._encoded
+        return [
+            (result, encoded[(result.control_name, result.trace_id)])
+            for result in results
+        ]
+
     @property
     def dirty_count(self) -> int:
         """How many (control, trace) pairs await a refresh."""
@@ -276,12 +299,13 @@ class VerdictMaterializer:
         self.refreshes += 1
         try:
             result = self.evaluator.evaluate_pair(control, trace_id)
-        except StoreError as exc:
+        except (StoreError, BrmsError) as exc:
             # The trace's evidence could not be read — e.g. a row
-            # tampered with at rest failed to decode.  An integrity
-            # failure must surface as an explicit verdict (and a
-            # transition, so deployed listeners hear about it), never as
-            # a silent skip or a crashed sweep.
+            # tampered with at rest failed to decode — or does not fit
+            # the vocabulary, e.g. a cloned row gave a node a second edge
+            # where the XOM expects one.  Either must surface as an
+            # explicit verdict (and a transition, so deployed listeners
+            # hear about it), never as a silent skip or a crashed sweep.
             result = ComplianceResult(
                 control_name=control.name,
                 trace_id=trace_id,
@@ -300,8 +324,13 @@ class VerdictMaterializer:
             result=result,
             previous=previous.status if previous is not None else None,
         )
-        for listener in list(self._listeners):
-            listener(transition)
+        try:
+            for listener in list(self._listeners):
+                listener(transition)
+        finally:
+            # Encoded after the listeners: a deployment's binder fills in
+            # ``control_node_id`` from its transition listener.
+            self._encoded[key] = _encode(result)
 
     def refresh(self) -> List[ComplianceResult]:
         """Evaluate every dirty pair once, in first-marked order.
@@ -313,12 +342,23 @@ class VerdictMaterializer:
         """
         pending, self._dirty = list(self._dirty), {}
         results = []
-        for control_name, trace_id in pending:
-            control = self._controls.get(control_name)
-            if control is None:
-                continue
-            results.append(self._refresh_pair(control, trace_id))
+        done = 0
+        try:
+            for control_name, trace_id in pending:
+                control = self._controls.get(control_name)
+                if control is not None:
+                    results.append(self._refresh_pair(control, trace_id))
+                done += 1
+        finally:
+            self._redirty(pending[done:])
         return results
+
+    def _redirty(self, keys: Sequence[Tuple[str, str]]) -> None:
+        """Put pairs an interrupted refresh did not finish back in front
+        of the dirty set, so a retry evaluates them instead of serving
+        their stale verdicts as clean."""
+        if keys:
+            self._dirty = {**dict.fromkeys(keys), **self._dirty}
 
     def check(
         self, control: InternalControl, trace_id: str
@@ -382,8 +422,16 @@ class VerdictMaterializer:
                 # through to per-pair refreshes, which confine the failure
                 # to the affected trace's verdicts.
                 pass
-            for control, trace_id in stale:
-                self._refresh_pair(control, trace_id)
+            done = 0
+            try:
+                for control, trace_id in stale:
+                    self._refresh_pair(control, trace_id)
+                    done += 1
+            finally:
+                self._redirty(
+                    [(control.name, trace_id)
+                     for control, trace_id in stale[done:]]
+                )
         # Dirty pairs of controls outside this sweep's set stay dirty; the
         # assembled view reads only the columns asked for.
         return [
@@ -436,15 +484,13 @@ class VerdictMaterializer:
         """
         self.refresh()
         crash_point("materializer.save.mid_snapshot")
-        payload = json.dumps(
-            {
-                "version": _SNAPSHOT_VERSION,
-                "cursor": cursor_to_wire(self.cursor),
-                "verdicts": [
-                    result.to_payload()
-                    for result in self._verdicts.values()
-                ],
-            }
+        # The text json.dumps of the whole snapshot gives, with the
+        # verdicts joined from their stored bytes.
+        cursor = json.dumps(cursor_to_wire(self.cursor))
+        verdicts = b", ".join([self._encoded[key] for key in self._verdicts])
+        payload = (
+            f'{{"version": {_SNAPSHOT_VERSION}, "cursor": {cursor}, '
+            f'"verdicts": [{verdicts.decode()}]}}'
         )
         self.store.save_state(self._state_key(), payload)
 
@@ -480,7 +526,9 @@ class VerdictMaterializer:
         crash_point("materializer.restore.mid_restore")
         for entry in snapshot["verdicts"]:
             result = ComplianceResult.from_payload(entry)
-            self._verdicts[(result.control_name, result.trace_id)] = result
+            key = (result.control_name, result.trace_id)
+            self._verdicts[key] = result
+            self._encoded[key] = _encode(result)
         touched: Dict[str, None] = {}
         for __, record in self.store.changes_since(snap_cursor):
             touched.setdefault(record.app_id)

@@ -18,6 +18,11 @@ POST   /snapshot      persist the verdict snapshot now
 POST   /shutdown      graceful stop: flush, snapshot, release the port
 ====== ============== ====================================================
 
+A ``/verdicts`` body is never encoded on the request path: the
+materializer encodes each verdict once, when it is stored, and the reply
+joins the stored bytes of the rows that pass the filters.  The result is
+byte-identical to ``json.dumps({"verdicts": [payload, ...]})``.
+
 Handler threads speak HTTP/1.1 with keep-alive (every reply carries a
 Content-Length), so a streaming client holds one connection — and one
 handler thread — for its whole session instead of paying accept/teardown
@@ -33,15 +38,25 @@ import json
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.capture.events import event_from_wire
 from repro.errors import ReproError, ServiceError
-from repro.service.runtime import ComplianceRuntime
+from repro.service.runtime import ComplianceRuntime, VerdictRow
 
 #: cap on one ingest request body (64 MiB) — a malformed Content-Length
 #: must not make a handler thread try to allocate the moon.
 _MAX_BODY = 64 * 1024 * 1024
+
+
+def verdicts_body(rows: Sequence[VerdictRow]) -> bytes:
+    """The ``/verdicts`` reply body: the rows' stored bytes joined into
+    exactly what ``json.dumps({"verdicts": [payload, ...]})`` gives."""
+    return (
+        b'{"verdicts": ['
+        + b", ".join([encoded for __, encoded in rows])
+        + b"]}"
+    )
 
 
 class _RuntimeRequestHandler(BaseHTTPRequestHandler):
@@ -70,7 +85,11 @@ class _RuntimeRequestHandler(BaseHTTPRequestHandler):
         return self.server.runtime  # type: ignore[attr-defined]
 
     def _reply(self, status: int, payload: Dict, close: bool = False) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._reply_bytes(status, json.dumps(payload).encode("utf-8"), close)
+
+    def _reply_bytes(
+        self, status: int, body: bytes, close: bool = False
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -129,15 +148,12 @@ class _RuntimeRequestHandler(BaseHTTPRequestHandler):
             elif path == "/stats":
                 self._reply(200, self.runtime.stats())
             elif path == "/verdicts":
-                results = self.runtime.verdicts(
+                rows = self.runtime.verdict_rows(
                     control=params.get("control"),
                     trace=params.get("trace"),
                     status=params.get("status"),
                 )
-                self._reply(
-                    200,
-                    {"verdicts": [result.to_payload() for result in results]},
-                )
+                self._reply_bytes(200, verdicts_body(rows))
             elif path == "/transitions":
                 try:
                     after = int(params.get("after", "0"))

@@ -15,7 +15,8 @@ object that owns all four and exposes a small session API —
   backend (the sharded multi-writer path), correlate the touched traces,
   and refresh the affected verdicts,
 - :meth:`verdicts` — the materialized (control, trace) table, refreshed
-  and read in canonical sweep order, byte-identical to a cold sweep,
+  and read in canonical sweep order, byte-identical to a cold sweep;
+  :meth:`verdict_rows` pairs each row with its stored JSON bytes,
 - :meth:`stats` / :meth:`health` — observability,
 - :meth:`snapshot` — persist the verdict table + feed cursor so a
   restarted runtime resumes from its cursor instead of re-evaluating
@@ -47,7 +48,9 @@ them waits behind a refresh.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -80,6 +83,9 @@ from repro.store.store import ProvenanceStore
 #: backend aux-state key the per-lane ingest counters persist under
 #: (read offline by ``repro store-stats``).
 LANE_STATS_KEY = "runtime:lane-stats"
+
+#: one served verdict and its JSON bytes.
+VerdictRow = Tuple[ComplianceResult, bytes]
 
 
 @dataclass(frozen=True)
@@ -178,8 +184,9 @@ class ComplianceRuntime:
         self._transitions_lock = threading.Lock()
         self._transition_seq = 0
         #: verdict read cache: ((materializer epoch, lane commit vector),
-        #: results).  Written only under the global lock; read lock-free.
-        self._verdict_cache: Optional[Tuple[tuple, List]] = None
+        #: verdict rows).  Written only under the global lock; read
+        #: lock-free.
+        self._verdict_cache: Optional[Tuple[tuple, List[VerdictRow]]] = None
         self._opened = False
         self._closed = False
         # Background refresh loop.
@@ -190,6 +197,8 @@ class ComplianceRuntime:
         #: ingest path bumps them outside the global lock).
         self._counter_lock = threading.Lock()
         self.polls = 0
+        #: background ticks that raised (logged to stderr, then retried).
+        self.tick_failures = 0
         self.ingest_batches = 0
         self.ingest_events = 0
         self.correlated_total = 0
@@ -434,12 +443,12 @@ class ComplianceRuntime:
         crash_point("runtime.cache_key.between_halves")
         return (epoch, tuple(lane.commits for lane in self._lanes))
 
-    def _verdict_results(self) -> List[ComplianceResult]:
+    def _verdict_rows(self) -> List[VerdictRow]:
         cached = self._verdict_cache
         if cached is not None and cached[0] == self._cache_key():
             with self._counter_lock:
                 self.verdict_cache_hits += 1
-            return list(cached[1])
+            return cached[1]
         with self._lock:
             self._require_open()
             self._fold_lanes_locked()
@@ -449,12 +458,36 @@ class ComplianceRuntime:
             # counter past this snapshot and correctly invalidates the
             # entry we are about to store.
             commits = tuple(lane.commits for lane in self._lanes)
-            results = self.evaluator.run(self.controls)
+            # Pair each result with its bytes under the lock, so a
+            # lock-free reader never sees one verdict's result with a
+            # newer verdict's bytes.
+            rows = self.materializer.encoded_rows(
+                self.evaluator.run(self.controls)
+            )
             epoch = self.materializer.epoch
-            self._verdict_cache = ((epoch, commits), results)
+            self._verdict_cache = ((epoch, commits), rows)
         with self._counter_lock:
             self.verdict_cache_misses += 1
-        return list(results)
+        return rows
+
+    def verdict_rows(
+        self,
+        control: Optional[str] = None,
+        trace: Optional[str] = None,
+        status: Optional[str] = None,
+    ) -> List[VerdictRow]:
+        """:meth:`verdicts` with each result's JSON bytes,
+        ``json.dumps(result.to_payload()).encode()``, encoded when the
+        verdict was stored: what ``GET /verdicts`` joins into its body."""
+        self._require_open()
+        rows = self._verdict_rows()
+        if control is not None:
+            rows = [row for row in rows if row[0].control_name == control]
+        if trace is not None:
+            rows = [row for row in rows if row[0].trace_id == trace]
+        if status is not None:
+            rows = [row for row in rows if row[0].status.value == status]
+        return list(rows)
 
     def verdicts(
         self,
@@ -472,15 +505,12 @@ class ComplianceRuntime:
         The optional filters subset the canonical rows without changing
         their order.
         """
-        self._require_open()
-        results = self._verdict_results()
-        if control is not None:
-            results = [r for r in results if r.control_name == control]
-        if trace is not None:
-            results = [r for r in results if r.trace_id == trace]
-        if status is not None:
-            results = [r for r in results if r.status.value == status]
-        return results
+        return [
+            result
+            for result, __ in self.verdict_rows(
+                control=control, trace=trace, status=status
+            )
+        ]
 
     def transitions_since(
         self, after: int = 0
@@ -534,6 +564,7 @@ class ComplianceRuntime:
             "ingest_events": self.ingest_events,
             "recorder": recorder,
             "polls": self.polls,
+            "tick_failures": self.tick_failures,
             "snapshots_saved": self.snapshots_saved,
             "background_running": self.background_running,
             "verdict_cache": {
@@ -624,11 +655,21 @@ class ComplianceRuntime:
     def _background_main(self, interval: float, snapshot_every: int) -> None:
         ticks = 0
         while not self._stop.is_set():
-            self.sync()
-            self.polls += 1
-            ticks += 1
-            if snapshot_every and ticks % snapshot_every == 0:
-                self.snapshot()
+            try:
+                self.sync()
+                self.polls += 1
+                ticks += 1
+                if snapshot_every and ticks % snapshot_every == 0:
+                    self.snapshot()
+            except Exception:
+                # A failed tick must not end the loop: the next one
+                # retries, and /stats counts the failures.
+                self.tick_failures += 1
+                print(
+                    f"compliance runtime: background tick failed:\n"
+                    f"{traceback.format_exc()}",
+                    file=sys.stderr,
+                )
             self._stop.wait(interval)
 
     def stop_background(self) -> None:

@@ -273,6 +273,34 @@ class TestMaterializer:
         assert norm(incremental.run(controls)) == norm(cold.run(controls))
         assert incremental.materializer.refreshes == before
 
+    def test_interrupted_sweep_leaves_its_pairs_dirty(
+        self, store, hiring_xom, hiring_vocabulary, tool
+    ):
+        controls = tool.deployed_controls()
+        evaluator = ComplianceEvaluator(store, hiring_xom, hiring_vocabulary)
+        evaluator.run(controls)
+        graph = build_hiring_trace("App02")  # the approval heals App02
+        store.append(graph.node("App02-D2"))
+        store.append(
+            next(e for e in graph.edges() if e.record_id == "App02-E4")
+        )
+        real_evaluate = evaluator.evaluate_pair
+
+        def fail(control, trace_id, *args, **kwargs):
+            raise RuntimeError("injected")
+
+        evaluator.evaluate_pair = fail
+        with pytest.raises(RuntimeError):
+            evaluator.run(controls)
+        evaluator.evaluate_pair = real_evaluate
+        assert evaluator.materializer.dirty_count == len(controls)
+        cold = ComplianceEvaluator(
+            store, hiring_xom, hiring_vocabulary, share_contexts=False
+        )
+        assert norm(evaluator.run(controls)) == norm(cold.run(controls))
+        healed = evaluator.materializer.latest("gm-approval", "App02")
+        assert healed.status is ComplianceStatus.SATISFIED
+
     def test_snapshot_restores_within_process(
         self, store, hiring_xom, hiring_vocabulary, tool
     ):

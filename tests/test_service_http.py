@@ -7,11 +7,14 @@ verdicts are byte-identical to a cold sweep of the same database.
 """
 
 import contextlib
+import dataclasses
 import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -451,3 +454,238 @@ class TestMalformedRequests:
             assert status == 413
             assert "error" in body
             self._assert_still_serving(endpoint, workload, sim)
+
+
+def _get(endpoint, path):
+    with urllib.request.urlopen(endpoint + path, timeout=30) as reply:
+        return reply.read()
+
+
+def _expected_body(runtime, **filters):
+    """The reference body: one ``json.dumps`` of every filtered row's
+    freshly built payload."""
+    return json.dumps(
+        {"verdicts": [r.to_payload() for r in runtime.verdicts(**filters)]}
+    ).encode()
+
+
+def _cold_sweep_body(sim):
+    return (
+        '{"verdicts": ' + _cold_sweep_payloads(sim) + "}"
+    ).encode()
+
+
+class TestVerdictBodyBytes:
+    """``/verdicts`` joins bytes each verdict was encoded to when it was
+    stored; the body must equal a fresh encode of the same rows."""
+
+    def test_every_filter_combination(self):
+        workload = hiring.workload()
+        sim = workload.simulate(
+            cases=8, seed=2011,
+            violations=ViolationPlan.uniform(
+                list(hiring.VIOLATION_KINDS), 0.4
+            ),
+        )
+        runtime = ComplianceRuntime.from_simulation(sim, workload=workload)
+        runtime.open()
+        statuses = {r.status.value for r in runtime.verdicts()}
+        assert {"satisfied", "violated"} <= statuses
+        with _served(runtime) as endpoint:
+            assert _get(endpoint, "/verdicts") == _cold_sweep_body(sim)
+            matched = 0
+            for control in (None, "gm-approval", "no-such-control"):
+                for trace in (None, "App03", "App99"):
+                    for status in (None, "violated", "satisfied", "error"):
+                        filters = {
+                            key: value
+                            for key, value in (
+                                ("control", control),
+                                ("trace", trace),
+                                ("status", status),
+                            )
+                            if value is not None
+                        }
+                        query = urllib.parse.urlencode(filters)
+                        body = _get(endpoint, f"/verdicts?{query}")
+                        assert body == _expected_body(runtime, **filters)
+                        matched += body != b'{"verdicts": []}'
+            # Both matching and empty selections were exercised.
+            assert 0 < matched < 3 * 3 * 4
+
+    def test_empty_table(self):
+        workload = hiring.workload()
+        sim = workload.simulate(cases=0, seed=2011)
+        runtime = ComplianceRuntime.from_simulation(sim, workload=workload)
+        runtime.open()
+        with _served(runtime) as endpoint:
+            body = _get(endpoint, "/verdicts")
+            assert body == b'{"verdicts": []}' == _expected_body(runtime)
+
+    def test_a_verdict_that_flips_between_reads(self):
+        workload = hiring.workload()
+        sim = workload.simulate(cases=0, seed=2011)
+        runtime = ComplianceRuntime.from_simulation(sim, workload=workload)
+        runtime.open()
+        events = _event_stream(workload, cases=1, seed=5, rate=0.0)
+        with _served(runtime) as endpoint:
+            transport = HTTPTransport(endpoint)
+            # Two people and a submission: no requisition yet, so every
+            # control is not applicable until the rest arrives.
+            transport.ingest(events[:3])
+            before = _get(endpoint, "/verdicts")
+            assert before == _expected_body(runtime)
+            first = {
+                (r.control_name, r.trace_id): r.status
+                for r in runtime.verdicts()
+            }
+            transport.ingest(events[3:])
+            after = _get(endpoint, "/verdicts")
+            assert after == _expected_body(runtime) == _cold_sweep_body(sim)
+            flipped = [
+                r for r in runtime.verdicts()
+                if (r.control_name, r.trace_id) in first
+                and first[(r.control_name, r.trace_id)] is not r.status
+            ]
+            assert flipped
+            assert before != after
+
+    def test_snapshot_restart_read(self, tmp_path):
+        db = str(tmp_path / "bytes.db")
+        workload = hiring.workload()
+        workload.simulate(
+            cases=6, seed=2011,
+            violations=ViolationPlan.uniform(
+                list(hiring.VIOLATION_KINDS), 0.4
+            ),
+            backend=SQLiteBackend(db),
+        ).store.close()
+        sim, first = _sqlite_runtime(workload, db)
+        first.open()
+        with _served(first) as endpoint:
+            served = _get(endpoint, "/verdicts")
+            assert served == _cold_sweep_body(sim)
+            HTTPTransport(endpoint).snapshot()
+        sim, second = _sqlite_runtime(workload, db)
+        report = second.open()
+        assert report.restored and report.evaluated == 0
+        with _served(second) as endpoint:
+            restarted = _get(endpoint, "/verdicts")
+            assert restarted == served == _cold_sweep_body(sim)
+            assert _get(
+                endpoint, "/verdicts?status=violated"
+            ) == _expected_body(second, status="violated")
+
+
+class TestBackgroundTickFailures:
+    """The background refresh thread outlives a trace that does not fit
+    the vocabulary, and any other failed tick."""
+
+    @staticmethod
+    def _served_db(tmp_path):
+        db = str(tmp_path / "tick.db")
+        workload = hiring.workload()
+        workload.simulate(
+            cases=3, seed=2011, backend=SQLiteBackend(db)
+        ).store.close()
+        sim, runtime = _sqlite_runtime(workload, db)
+        runtime.open()
+        return db, sim, runtime
+
+    @staticmethod
+    def _wait_for_polls(runtime, count):
+        deadline = time.monotonic() + 30.0
+        target = runtime.stats()["polls"] + count
+        while runtime.stats()["polls"] < target:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+
+    def test_a_cloned_person_row_gives_an_error_verdict(self, tmp_path):
+        db, sim, runtime = self._served_db(tmp_path)
+        with _served(runtime) as endpoint:
+            runtime.start_background(interval=0.02)
+            # Another process clones App01's person row: correlation links
+            # the clone to the requisition as a second submitter, which
+            # the XOM's one-submitter navigation refuses.
+            other = ProvenanceStore(backend=SQLiteBackend(db))
+            person = next(
+                r for r in other.records()
+                if r.app_id == "App01" and r.entity_type == "person"
+            )
+            other.append(dataclasses.replace(person, record_id="clone-1"))
+            other.close()
+            self._wait_for_polls(runtime, 2)
+            stats = runtime.stats()
+            assert stats["background_running"]
+            assert stats["tick_failures"] == 0
+            errors = runtime.verdicts(trace="App01", status="error")
+            assert [r.control_name for r in errors] == ["submitter-known"]
+            assert "multiple 'submitterOf'" in errors[0].alerts[0]
+            assert _get(endpoint, "/verdicts") == _cold_sweep_body(sim)
+
+    def test_a_tick_that_fails_mid_refresh_loses_no_dirty_pair(
+        self, tmp_path, capsys
+    ):
+        db, sim, runtime = self._served_db(tmp_path)
+        evaluator = runtime.materializer.evaluator
+        real_evaluate = evaluator.evaluate_pair
+        calls = []
+
+        def evaluate_failing_once(control, trace_id, *args, **kwargs):
+            calls.append((control.name, trace_id))
+            if len(calls) == 2:
+                raise RuntimeError("injected refresh failure")
+            return real_evaluate(control, trace_id, *args, **kwargs)
+
+        evaluator.evaluate_pair = evaluate_failing_once
+        # Dirty every trace out-of-band, each with a verdict that flips:
+        # a cloned person row makes the submitter check read ``error``.
+        other = ProvenanceStore(backend=SQLiteBackend(db))
+        people = [
+            r for r in other.records() if r.entity_type == "person"
+        ]
+        for number, person in enumerate(people):
+            other.append(
+                dataclasses.replace(person, record_id=f"clone-{number}")
+            )
+        other.close()
+        with _served(runtime) as endpoint:
+            runtime.start_background(interval=0.02)
+            self._wait_for_polls(runtime, 2)
+            stats = runtime.stats()
+            assert stats["background_running"]
+            assert stats["tick_failures"] == 1
+            assert runtime.materializer.dirty_count == 0
+            # The pair that failed and every pair after it in the failed
+            # tick were evaluated again by the next one.
+            assert len(calls) > 3 and calls[1] in calls[2:]
+            errors = runtime.verdicts(status="error")
+            assert sorted(r.trace_id for r in errors) == sorted(
+                {person.app_id for person in people}
+            )
+            assert _get(endpoint, "/verdicts") == _cold_sweep_body(sim)
+        assert "injected refresh failure" in capsys.readouterr().err
+
+    def test_a_failed_tick_is_logged_counted_and_retried(
+        self, tmp_path, capsys
+    ):
+        db, sim, runtime = self._served_db(tmp_path)
+        real_sync = runtime.sync
+        failures = []
+
+        def failing_sync():
+            if not failures:
+                failures.append(1)
+                raise RuntimeError("injected tick failure")
+            return real_sync()
+
+        runtime.sync = failing_sync
+        runtime.start_background(interval=0.02)
+        try:
+            self._wait_for_polls(runtime, 2)
+            stats = runtime.stats()
+            assert stats["background_running"]
+            assert stats["tick_failures"] == 1
+        finally:
+            runtime.shutdown()
+        assert "injected tick failure" in capsys.readouterr().err

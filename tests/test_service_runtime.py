@@ -11,6 +11,7 @@ import threading
 import pytest
 
 from repro.capture.recorder import RecorderClient
+from repro.controls.deployment import ControlDeployment
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.errors import CaptureError, MappingError, ServiceError
 from repro.faults import FaultPlan, SimulatedCrash, active_plan
@@ -24,6 +25,7 @@ from repro.store.backends import (
     ShardedBackend,
     SQLiteBackend,
 )
+from repro.store.cursor import cursor_to_wire
 from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
 
@@ -360,9 +362,13 @@ class TestConcurrency:
         def read():
             try:
                 while not stop_reading.is_set():
-                    for result in runtime.verdicts():
-                        # Reads mid-ingest must always be coherent rows.
+                    for result, encoded in runtime.verdict_rows():
+                        # Reads mid-ingest must always be coherent rows,
+                        # each with its own verdict's bytes.
                         assert result.control_name and result.trace_id
+                        assert encoded == json.dumps(
+                            result.to_payload()
+                        ).encode()
                     runtime.stats()
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -465,6 +471,71 @@ class TestVerdictCacheTornRead:
         assert after["misses"] == counters["misses"] + 1 + refill
         assert torn != stale
         assert torn == _cold_sweep_payloads(sim)
+        runtime.shutdown()
+
+
+class TestStoredVerdictBytes:
+    """The materializer encodes each verdict once, when it stores it;
+    reads and snapshots join those bytes instead of re-encoding."""
+
+    @staticmethod
+    def _simulate():
+        return hiring.workload().simulate(
+            cases=5, seed=2011,
+            violations=ViolationPlan.uniform(
+                list(hiring.VIOLATION_KINDS), 0.4
+            ),
+        )
+
+    def test_bytes_include_the_binders_control_node(self):
+        sim = self._simulate()
+        deployment = ControlDeployment(
+            sim.store, sim.xom, sim.vocabulary,
+            observable_types=sim.observable_types,
+        )
+        for control in sim.controls:
+            deployment.deploy(control)
+        materializer = deployment.materializer
+        results = materializer.all_latest()
+        assert len(results) == 5 * len(sim.controls)
+        for result, encoded in materializer.encoded_rows(results):
+            assert result.control_node_id is not None
+            assert encoded == json.dumps(result.to_payload()).encode()
+            assert (
+                f'"control_node_id": "{result.control_node_id}"'.encode()
+                in encoded
+            )
+
+    def test_snapshot_text_is_one_dumps_of_the_table(self):
+        sim = self._simulate()
+        evaluator = ComplianceEvaluator(
+            sim.store, sim.xom, sim.vocabulary,
+            observable_types=sim.observable_types,
+        )
+        results = evaluator.run(sim.controls)
+        materializer = evaluator.materializer
+        materializer.save()
+        saved = sim.store.load_state(materializer._state_key())
+        assert saved == json.dumps(
+            {
+                "version": 1,
+                "cursor": cursor_to_wire(materializer.cursor),
+                "verdicts": [r.to_payload() for r in results],
+            }
+        )
+
+    def test_served_rows_pair_each_result_with_its_bytes(self):
+        sim = self._simulate()
+        runtime = ComplianceRuntime.from_simulation(sim)
+        runtime.open()
+        for control in (None, "gm-approval", "no-such-control"):
+            for status in (None, "violated", "satisfied"):
+                rows = runtime.verdict_rows(control=control, status=status)
+                assert [r for r, __ in rows] == runtime.verdicts(
+                    control=control, status=status
+                )
+                for result, encoded in rows:
+                    assert encoded == json.dumps(result.to_payload()).encode()
         runtime.shutdown()
 
 
