@@ -435,7 +435,12 @@ class ComplianceEvaluator:
         all its frames from one sequential backend scan.
         """
         if self.materializer is not None:
-            return self.materializer.sweep(controls, trace_ids=trace_ids)
+            return [
+                result
+                for result, __ in self.materializer.sweep(
+                    controls, trace_ids=trace_ids
+                )
+            ]
         results: List[ComplianceResult] = []
         if trace_ids is None and self.store.indexed:
             projection = self._projection_for(controls)

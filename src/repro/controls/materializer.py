@@ -12,8 +12,9 @@ O(store).
 Every existing evaluation style is a *view* over this one table:
 
 - **batch sweep** (:meth:`ComplianceEvaluator.run <repro.controls.
-  evaluator.ComplianceEvaluator.run>`) — :meth:`sweep`: drain the dirty
-  pairs, then read the whole table in canonical (trace, control) order,
+  evaluator.ComplianceEvaluator.run>`, and every served read) —
+  :meth:`sweep`: drain the dirty pairs, then read the whole table in
+  canonical (trace, control) order,
 - **on-demand check** (``check_trace``) — :meth:`check`: a targeted
   refresh of one pair,
 - **deployed controls** (:class:`~repro.controls.deployment.
@@ -30,7 +31,9 @@ to a cold full sweep — the differential interleaving suite asserts this.
 Each stored verdict is also kept JSON-encoded (``json.dumps`` of its
 :meth:`~repro.controls.status.ComplianceResult.to_payload`), encoded once
 when it is stored; served reads and snapshots join those bytes instead of
-re-encoding the table.
+re-encoding the table.  A sweep keeps each trace's ``(result, bytes)``
+row in control order and assembles the table from those rows, so a read
+after a write walks the dirty pairs and the traces, never every pair.
 
 Snapshots: :meth:`save` persists the table plus the feed cursor as backend
 auxiliary state keyed by a fingerprint of the registered controls;
@@ -73,6 +76,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
 
 #: Version tag of the snapshot wire format.
 _SNAPSHOT_VERSION = 1
+
+#: one materialized verdict and its JSON bytes.
+VerdictRow = Tuple[ComplianceResult, bytes]
 
 
 def _encode(result: ComplianceResult) -> bytes:
@@ -149,6 +155,11 @@ class VerdictMaterializer:
         self._verdicts: Dict[Tuple[str, str], ComplianceResult] = {}
         # Each stored verdict's wire bytes, json.dumps(to_payload()).
         self._encoded: Dict[Tuple[str, str], bytes] = {}
+        # Per trace, the sweep's rows for the controls in _row_names, in
+        # that order.  Storing a verdict drops its trace's entry; restore
+        # and registry changes drop them all.
+        self._row_names: Tuple[str, ...] = ()
+        self._trace_rows: Dict[str, Tuple[VerdictRow, ...]] = {}
         # Dirty (control, trace) pairs in first-marked order (dict keys:
         # deduped and FIFO, like the deployment's old tracking).
         self._dirty: Dict[Tuple[str, str], None] = {}
@@ -191,6 +202,7 @@ class VerdictMaterializer:
         )
         for trace_id in self.store.app_ids():
             self._dirty.setdefault((control.name, trace_id))
+        self._trace_rows = {}
         self.epoch += 1
         return True
 
@@ -199,6 +211,7 @@ class VerdictMaterializer:
         readable, but dirty pairs for it are skipped at refresh time."""
         self._controls.pop(name, None)
         self._relevance.pop(name, None)
+        self._trace_rows = {}
         self.epoch += 1
 
     def registered(self, name: str) -> bool:
@@ -219,17 +232,6 @@ class VerdictMaterializer:
     def all_latest(self) -> List[ComplianceResult]:
         """Every materialized verdict, in first-materialized order."""
         return list(self._verdicts.values())
-
-    def encoded_rows(
-        self, results: Iterable[ComplianceResult]
-    ) -> List[Tuple[ComplianceResult, bytes]]:
-        """Each stored result paired with its JSON bytes, exactly
-        ``json.dumps(result.to_payload()).encode()``."""
-        encoded = self._encoded
-        return [
-            (result, encoded[(result.control_name, result.trace_id)])
-            for result in results
-        ]
 
     @property
     def dirty_count(self) -> int:
@@ -331,6 +333,7 @@ class VerdictMaterializer:
             # Encoded after the listeners: a deployment's binder fills in
             # ``control_node_id`` from its transition listener.
             self._encoded[key] = _encode(result)
+            self._trace_rows.pop(result.trace_id, None)
 
     def refresh(self) -> List[ComplianceResult]:
         """Evaluate every dirty pair once, in first-marked order.
@@ -384,16 +387,22 @@ class VerdictMaterializer:
         self,
         controls: Sequence[InternalControl],
         trace_ids: Optional[Iterable[str]] = None,
-    ) -> List[ComplianceResult]:
+    ) -> List[VerdictRow]:
         """The batch view: refresh what is stale, then read the table.
 
-        Returns one row per (trace, control) in canonical sweep order —
-        traces in first-seen order (or the *trace_ids* given), controls in
-        the order passed — byte-identical to a cold full sweep.  Only
-        dirty (or never-evaluated) pairs are evaluated.  Their frames come
-        from one store scan when most of the store's traces are stale, and
-        from each stale trace's own rows otherwise
+        Returns one ``(result, bytes)`` row per (trace, control) in
+        canonical sweep order — traces in first-seen order (or the
+        *trace_ids* given), controls in the order passed — byte-identical
+        to a cold full sweep; the bytes are exactly
+        ``json.dumps(result.to_payload()).encode()``.  Only stale pairs
+        are evaluated: the dirty pairs of these controls, and the pairs
+        never evaluated, found among the traces without a kept row.  They
+        run in canonical order, so transitions arrive in it too.  Their
+        frames come from one store scan when most of the store's traces
+        are stale, and from each stale trace's own rows otherwise
         (:meth:`~repro.controls.evaluator.ComplianceEvaluator.prime_frames`).
+        The table is then joined from the kept per-trace rows; only the
+        traces whose verdicts changed build theirs again.
         """
         for control in controls:
             self.register(control)
@@ -402,13 +411,25 @@ class VerdictMaterializer:
             if trace_ids is not None
             else self.store.app_ids()
         )
-        names = [control.name for control in controls]
+        names = tuple(control.name for control in controls)
+        if names != self._row_names:
+            self._row_names = names
+            self._trace_rows = {}
+        wanted = set(names)
+        touched = {
+            trace_id for name, trace_id in self._dirty if name in wanted
+        }
+        touched.update(
+            trace_id for trace_id in ids if trace_id not in self._trace_rows
+        )
         stale: List[Tuple[InternalControl, str]] = []
-        for trace_id in ids:
-            for control in controls:
-                key = (control.name, trace_id)
-                if key in self._dirty or key not in self._verdicts:
-                    stale.append((control, trace_id))
+        if touched:
+            dirty, verdicts = self._dirty, self._verdicts
+            for trace_id in [t for t in ids if t in touched]:
+                for control in controls:
+                    key = (control.name, trace_id)
+                    if key in dirty or key not in verdicts:
+                        stale.append((control, trace_id))
         for control, trace_id in stale:
             self._dirty.pop((control.name, trace_id), None)
         if stale:
@@ -433,12 +454,19 @@ class VerdictMaterializer:
                      for control, trace_id in stale[done:]]
                 )
         # Dirty pairs of controls outside this sweep's set stay dirty; the
-        # assembled view reads only the columns asked for.
-        return [
-            self._verdicts[(name, trace_id)]
-            for trace_id in ids
-            for name in names
-        ]
+        # assembled view reads only the columns asked for.  The kept rows
+        # are read after the refreshes, which drop the rows they change.
+        kept = self._trace_rows
+        table: List[VerdictRow] = []
+        for trace_id in ids:
+            rows = kept.get(trace_id)
+            if rows is None:
+                keys = [(name, trace_id) for name in names]
+                rows = kept[trace_id] = tuple(
+                    (self._verdicts[key], self._encoded[key]) for key in keys
+                )
+            table.extend(rows)
+        return table
 
     # -- snapshots -----------------------------------------------------------
 
@@ -524,6 +552,7 @@ class VerdictMaterializer:
             # N=1 degenerate case), so old snapshots keep restoring.
             return False
         crash_point("materializer.restore.mid_restore")
+        self._trace_rows = {}
         for entry in snapshot["verdicts"]:
             result = ComplianceResult.from_payload(entry)
             key = (result.control_name, result.trace_id)

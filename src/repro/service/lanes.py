@@ -19,6 +19,17 @@ Lane ownership rules (see EXTENDING.md for the operator-facing version):
 - ``lane.commits`` is bumped by the lane-store observer on every
   append/fold and read without the lock (a single int update under the
   GIL) — it is the lane's contribution to the runtime's read-cache key;
+- the same observer collects every record the lane's store commits or
+  folds; the runtime's fold takes them (:meth:`IngestLane.take_handoff`,
+  under the lane lock) and hands them to the global store handle's
+  record cache, so the global sync and the frame builds after it decode
+  no lane-written row.  Handed-over records are immutable and shared by
+  both handles; they are always full records — projected records never
+  enter a cache.  At most :data:`HANDOFF_LIMIT` records wait between
+  folds;
+- the lane's store cursor (``lane.store.last_seq()``) is read without
+  the lock, like ``commits``: ingest replies and ``/stats`` answer the
+  change-feed position from it instead of querying a shard;
 - lane locks nest *inside* the runtime's global lock (global → lane),
   never the reverse: the lane ingest path takes only its own lock, and
   the global fold/snapshot paths take the global lock first.
@@ -27,16 +38,22 @@ Lane ownership rules (see EXTENDING.md for the operator-facing version):
 from __future__ import annotations
 
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.capture.correlation import CorrelationAnalytics
 from repro.capture.events import ApplicationEvent
 from repro.capture.recorder import RecorderClient
 from repro.faults.points import crash_point
 from repro.ids import IdFactory
-from repro.model.records import RelationRecord
+from repro.model.records import ProvenanceRecord, RelationRecord
 from repro.store.store import ProvenanceStore
+
+#: records a lane keeps for the next fold: the SQLite record cache's
+#: default capacity, past which the cache they go to would evict them
+#: anyway.  Older ones are dropped; the global sync decodes their rows.
+HANDOFF_LIMIT = 4096
 
 
 @dataclass
@@ -104,17 +121,22 @@ class IngestLane:
         self._pending: Dict[str, None] = {}
         #: monotonic append/fold counter (read lock-free by cache keys).
         self.commits = 0
+        #: records committed or folded since the last handoff.
+        self._handoff: Deque[ProvenanceRecord] = deque(maxlen=HANDOFF_LIMIT)
         #: counters surfaced per-lane by ``/stats`` and ``store-stats``.
         self.events_routed = 0
         self.batches = 0
         self.correlation_batches = 0
         self.correlated_rows = 0
+        #: ``(traces, rows)`` counted when the lane closed.
+        self._closed_shape: Optional[Tuple[int, int]] = None
         store.subscribe(self._on_append)
 
     # -- store observer ------------------------------------------------------
 
     def _on_append(self, record) -> None:
         self.commits += 1
+        self._handoff.append(record)
         # Relation rows are correlation *products*; re-correlating their
         # traces every batch would never converge.  Everything else marks
         # its trace for the next correlation pass.
@@ -174,11 +196,26 @@ class IngestLane:
         """Fold rows other handles appended to this lane's shard."""
         return self.store.sync()
 
+    def take_handoff(self) -> Deque[ProvenanceRecord]:
+        """The records committed or folded since the last call, oldest
+        first; the lane starts collecting afresh."""
+        records = self._handoff
+        self._handoff = deque(maxlen=HANDOFF_LIMIT)
+        return records
+
     # -- observability -------------------------------------------------------
 
     @property
     def pending_count(self) -> int:
         return len(self._pending)
+
+    def shape(self) -> Tuple[int, int]:
+        """``(traces, rows)`` of this lane's shard, counted through the
+        lane's own handle (caller holds ``self.lock``); after
+        :meth:`close`, the count taken when it closed."""
+        if self._closed_shape is not None:
+            return self._closed_shape
+        return len(self.store.app_ids()), len(self.store)
 
     def counters(self) -> Dict:
         """The per-lane counter payload (stats endpoint, aux state)."""
@@ -199,6 +236,8 @@ class IngestLane:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Release the lane's store handle when the lane owns it."""
+        """Release the lane's store handle when the lane owns it (caller
+        holds ``self.lock``).  :meth:`shape` keeps answering."""
+        self._closed_shape = self.shape()
         if self.owns_store:
             self.store.close()

@@ -41,8 +41,19 @@ lock fences only cross-shard state: materializer refreshes, snapshots,
 shutdown, and the sync that folds lane output into the global view.
 Hot reads (``verdicts``) are served from a read cache keyed by the
 materializer's transition epoch plus every lane's commit counter, and
-``stats`` / ``health`` read backend state and counters only, so none of
-them waits behind a refresh.
+``stats`` / ``health`` / the ``last_seq`` of an ingest reply read lane
+cursors, counters, and each lane's own store handle under that lane's
+lock only, so none of them waits behind a refresh — or touches a
+global shard connection, which only the global lock may use.
+
+The fold hands each lane's committed records to the global store
+handle's record cache (:meth:`_fold_lanes_locked`), so neither the
+global sync nor the frame builds after it decode a row a lane wrote;
+only rows other processes appended are decoded, once.  Handed-over
+records are immutable and shared by the lane's handle and the global
+one, and they are always full records: projected records never enter a
+cache.  A read that misses the cache evaluates only the dirty pairs and
+assembles the served table from the materializer's per-trace rows.
 """
 
 from __future__ import annotations
@@ -70,22 +81,20 @@ from repro.controls.control import InternalControl
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.controls.materializer import (
     TransitionListener,
+    VerdictRow,
     VerdictTransition,
 )
-from repro.controls.status import ComplianceResult
+from repro.controls.status import ComplianceResult, ComplianceStatus
 from repro.errors import ServiceError
 from repro.faults.points import crash_point
 from repro.service.lanes import IngestLane
 from repro.service.transport import IngestReply
-from repro.store.cursor import cursor_to_wire
+from repro.store.cursor import Cursor, VectorCursor, cursor_to_wire
 from repro.store.store import ProvenanceStore
 
 #: backend aux-state key the per-lane ingest counters persist under
 #: (read offline by ``repro store-stats``).
 LANE_STATS_KEY = "runtime:lane-stats"
-
-#: one served verdict and its JSON bytes.
-VerdictRow = Tuple[ComplianceResult, bytes]
 
 
 @dataclass(frozen=True)
@@ -312,7 +321,8 @@ class ComplianceRuntime:
                 self._save_snapshot_locked()
             self.store.flush()
             for lane in self._lanes:
-                lane.close()
+                with lane.lock:
+                    lane.close()
             if self.owns_store:
                 self.store.close()
 
@@ -381,16 +391,33 @@ class ComplianceRuntime:
             dropped_unmapped=dropped_unmapped,
             correlated=correlated,
             dispositions=dispositions,
-            # Lane rows are committed but not yet folded into the global
-            # handle's cursor; the backend tip is the truthful checkpoint.
-            last_seq=self.store.backend.last_seq(),
+            last_seq=self._lane_cursor(),
         )
+
+    def _lane_cursor(self) -> Cursor:
+        """The change-feed position every lane's store has reached.
+
+        Lane rows are committed before the global handle folds them, so
+        the lanes' own cursors, not the global one, cover every ingest
+        reply's batch.  Reading them runs no SQL and needs no lock (each
+        is one attribute read); the shape follows the store's: an int
+        unsharded, a vector over shards.
+        """
+        seqs = [lane.store.last_seq() for lane in self._lanes]
+        if not seqs:  # not opened yet: no lane has written anything
+            return self.store.last_seq()
+        if isinstance(self.store.last_seq(), VectorCursor):
+            return VectorCursor(seqs)
+        return seqs[0]
 
     def _fold_lanes_locked(self) -> int:
         """Fold every lane (sync + correlate + commit); global lock held.
 
         Returns relation rows created.  Lane locks nest inside the global
-        lock here — the one sanctioned global→lane ordering.
+        lock here — the one sanctioned global→lane ordering.  The records
+        each lane committed (or folded) go to the global handle's record
+        cache, so the global sync that follows decodes none of their
+        rows.
         """
         correlated = 0
         for lane in self._lanes:
@@ -399,6 +426,8 @@ class ComplianceRuntime:
                 correlated += lane.correlate()
                 if lane.owns_store:
                     lane.store.flush()
+                handed = lane.take_handoff()
+            self.store.backend.cache_records(handed)
         if correlated:
             with self._counter_lock:
                 self.correlated_total += correlated
@@ -458,12 +487,10 @@ class ComplianceRuntime:
             # counter past this snapshot and correctly invalidates the
             # entry we are about to store.
             commits = tuple(lane.commits for lane in self._lanes)
-            # Pair each result with its bytes under the lock, so a
-            # lock-free reader never sees one verdict's result with a
-            # newer verdict's bytes.
-            rows = self.materializer.encoded_rows(
-                self.evaluator.run(self.controls)
-            )
+            # The sweep pairs each result with its bytes under the lock,
+            # so a lock-free reader never sees one verdict's result with
+            # a newer verdict's bytes.
+            rows = self.materializer.sweep(self.controls)
             epoch = self.materializer.epoch
             self._verdict_cache = ((epoch, commits), rows)
         with self._counter_lock:
@@ -486,7 +513,11 @@ class ComplianceRuntime:
         if trace is not None:
             rows = [row for row in rows if row[0].trace_id == trace]
         if status is not None:
-            rows = [row for row in rows if row[0].status.value == status]
+            try:
+                wanted = ComplianceStatus(status)
+            except ValueError:
+                return []
+            rows = [row for row in rows if row[0].status is wanted]
         return list(rows)
 
     def verdicts(
@@ -530,17 +561,30 @@ class ComplianceRuntime:
             ]
             return self._transition_seq, entries
 
+    def _lane_shape(self) -> Tuple[int, int]:
+        """``(traces, rows)`` counted through every lane's own store
+        handle under that lane's lock — never through the global handle,
+        whose connections only the global lock may touch.  Lane handles
+        see their rows before the global view folds them."""
+        traces = rows = 0
+        for lane in self._lanes:
+            with lane.lock:
+                lane_traces, lane_rows = lane.shape()
+            traces += lane_traces
+            rows += lane_rows
+        return traces, rows
+
     def stats(self) -> Dict:
         """Counters for dashboards and the ``/stats`` endpoint.
 
-        Answered without the global lock — every field is either a
-        backend read or a GIL-atomic counter — so stats polling never
-        stalls behind a refresh.  Traces and rows are counted on the
-        backend, which already holds lane rows the global view has not
-        folded yet.
+        Answered without the global lock — every field is a lane-handle
+        read under that lane's lock, a lane cursor, or a GIL-atomic
+        counter — so stats polling never stalls behind a refresh (and
+        never touches a connection a snapshot may be writing through).
         """
         lanes = self._lanes
-        last_seq = self.store.backend.last_seq()
+        last_seq = self._lane_cursor()
+        traces, rows = self._lane_shape()
         recorder = None
         if self._mapping is not None:
             recorder = RecorderStats.aggregate(
@@ -549,8 +593,8 @@ class ComplianceRuntime:
             ).as_dict()
         return {
             "workload": self.workload_name,
-            "traces": len(self.store.backend.app_ids()),
-            "rows": len(self.store),
+            "traces": traces,
+            "rows": rows,
             "shards": self.store.shard_count(),
             "last_seq": cursor_to_wire(last_seq),
             "controls": [control.name for control in self.controls],
@@ -575,13 +619,15 @@ class ComplianceRuntime:
         }
 
     def health(self) -> Dict:
-        """Tiny liveness payload for ``/health``; lock-free like stats."""
+        """Tiny liveness payload for ``/health``; lock-free like stats.
+        After :meth:`shutdown` it reports the traces the lanes counted
+        when they closed."""
         return {
             "status": "ok" if self._opened and not self._closed
             else "stopped",
             "workload": self.workload_name,
-            "traces": len(self.store.backend.app_ids()),
-            "last_seq": cursor_to_wire(self.store.backend.last_seq()),
+            "traces": self._lane_shape()[0],
+            "last_seq": cursor_to_wire(self._lane_cursor()),
         }
 
     def _save_lane_stats_locked(self) -> None:

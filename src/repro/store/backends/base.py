@@ -48,6 +48,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -195,6 +196,27 @@ class StorageBackend(ABC):
         not read them.
         """
         return None
+
+    # -- record cache --------------------------------------------------------
+
+    def cached_record(self, row: StoredRow) -> Optional[ProvenanceRecord]:
+        """The full record this handle already holds for *row*, or ``None``.
+
+        Answers without decoding; :meth:`ProvenanceStore.sync
+        <repro.store.store.ProvenanceStore.sync>` asks before it decodes a
+        delta row.  Default: nothing held.
+        """
+        return None
+
+    def cache_records(self, records: Iterable[ProvenanceRecord]) -> None:
+        """Hold full *records* for later reads of their rows.
+
+        The records must equal the decode of their stored rows: records
+        another handle over the same rows committed, or rows this handle
+        decoded out-of-band.  They are immutable and may be shared
+        between handles.  Projected records must never be passed here.
+        Default: ignore.
+        """
 
     # -- sharding ------------------------------------------------------------
 

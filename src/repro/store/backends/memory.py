@@ -3,7 +3,9 @@
 Rows live in a Python list, records in an id-keyed dict; :meth:`get` hands
 back the very record object that was appended (zero-copy), which is what
 the store always did before backends existed.  A per-APPID record list
-answers trace-scoped queries and :meth:`app_ids` without a scan.
+answers trace-scoped queries and :meth:`app_ids` without a scan, and
+:meth:`cached_record` answers from the records it holds, so a store
+syncing rows another handle appended here decodes none of them.
 Everything is O(1) except the full scans, and nothing survives the
 process.
 
@@ -71,6 +73,9 @@ class MemoryBackend(StorageBackend):
 
     def contains(self, record_id: str) -> bool:
         return record_id in self._records
+
+    def cached_record(self, row: StoredRow) -> Optional[ProvenanceRecord]:
+        return self._records.get(row.record_id)
 
     def iter_rows(self) -> Iterator[StoredRow]:
         return iter(self._rows)

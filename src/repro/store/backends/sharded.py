@@ -35,6 +35,7 @@ from __future__ import annotations
 import zlib
 from typing import (
     FrozenSet,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -190,6 +191,15 @@ class ShardedBackend(StorageBackend):
 
     def contains(self, record_id: str) -> bool:
         return any(child.contains(record_id) for child in self._children)
+
+    def cached_record(self, row: StoredRow) -> Optional[ProvenanceRecord]:
+        return self._children[self.shard_index(row.app_id)].cached_record(row)
+
+    def cache_records(self, records: Iterable[ProvenanceRecord]) -> None:
+        for record in records:
+            self._children[self.shard_index(record.app_id)].cache_records(
+                (record,)
+            )
 
     def iter_rows(self) -> Iterator[StoredRow]:
         for child in self._children:

@@ -26,8 +26,9 @@ Throughput and latency choices:
   invisible to store semantics.
 - **Lazy decoding with an LRU record cache**: rows are only materialized
   into records when fetched, and the hot ids (point lookups, fresh
-  appends) stay cached.  Full scans read through the cache but do not
-  populate it, so sweeps cannot evict the hot set.
+  appends, records a sibling handle committed and handed over through
+  :meth:`cache_records`) stay cached.  Full scans read through the cache
+  but do not populate it, so sweeps cannot evict the hot set.
 - **The table is the change log**: the store never deletes, so ``rowid``
   is exactly the row's 1-based append position — the backend-neutral
   sequence number.  :meth:`changes_since` is a ``rowid > ?`` tail scan,
@@ -59,7 +60,7 @@ from __future__ import annotations
 import sqlite3
 from collections import OrderedDict
 from dataclasses import replace
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import BackendError, RecordNotFound
 from repro.faults.points import crash_point
@@ -239,7 +240,7 @@ class SQLiteBackend(StorageBackend):
         write_lock = None
         if isinstance(self._write_lock, FileLock):
             write_lock = FileLock(self._write_lock.path)
-        return SQLiteBackend(
+        fork = SQLiteBackend(
             self.path,
             batch_size=self.batch_size,
             bulk_batch_size=self.bulk_batch_size,
@@ -247,6 +248,12 @@ class SQLiteBackend(StorageBackend):
             write_lock=write_lock,
             threadsafe=True,
         )
+        # The fork starts from this handle's trace list, so its first
+        # app_ids() reads only the rows past it instead of grouping the
+        # whole table once more.
+        self.app_ids()
+        fork._traces_seen = self._traces_seen
+        return fork
 
     def _count_null_cols(self) -> int:
         (nulls,) = self._conn.execute(
@@ -526,6 +533,13 @@ class SQLiteBackend(StorageBackend):
                 )
             )
         return results
+
+    def cached_record(self, row: StoredRow) -> Optional[ProvenanceRecord]:
+        return self._cache.get(row.record_id)
+
+    def cache_records(self, records: Iterable[ProvenanceRecord]) -> None:
+        for record in records:
+            self._cache_put(record.record_id, record)
 
     def columnar_coverage(self) -> Tuple[int, int]:
         """``(rows with a cols payload, total rows)`` including pending."""

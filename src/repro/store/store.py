@@ -232,10 +232,20 @@ class ProvenanceStore:
     def sync(self) -> int:
         """Fold in rows another handle appended to the shared backend.
 
-        Rows past this store's cursor are decoded and announced to
-        observers exactly as a local append would be — deployments and
-        materializers downstream of this store catch up without a rescan.
-        Returns the number of rows folded in.
+        Rows past this store's cursor are announced to observers exactly
+        as a local append would be — deployments and materializers
+        downstream of this store catch up without a rescan.  Returns the
+        number of rows folded in.
+
+        Each row's record comes from the backend's record cache when the
+        backend already holds it (:meth:`StorageBackend.cached_record
+        <repro.store.backends.base.StorageBackend.cached_record>`): the
+        memory backend holds every record, and a served runtime's lanes
+        hand the records they committed to the global handle before it
+        syncs.  Only true out-of-band rows are decoded, and those are
+        cached too, so a frame built from the same rows right after
+        decodes none of them again.  Records are immutable and may be
+        shared between handles; projected records never enter a cache.
 
         The local handle is flushed first so its own pending rows get
         their seqs before foreign rows are numbered after them; callers
@@ -257,8 +267,12 @@ class ProvenanceStore:
         if not delta:
             return 0
         self._seen_seq = delta[-1][0]
+        backend = self._backend
         for __, row in delta:
-            record = self._decode(row)
+            record = backend.cached_record(row)
+            if record is None:
+                record = self._decode(row)
+                backend.cache_records((record,))
             for observer in self._observers:
                 observer(record)
         return len(delta)

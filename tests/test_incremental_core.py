@@ -14,6 +14,7 @@ Three layers under test:
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.controls.dashboard import ComplianceDashboard
 from repro.controls.deployment import ControlDeployment
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.controls.status import ComplianceStatus
+from repro.service import ComplianceRuntime
 from repro.store.backends import SQLiteBackend
 from repro.store.cursor import cursor_total
 from repro.store.store import ProvenanceStore
@@ -420,10 +422,27 @@ def _interleave(rng, streams):
         yield pending[rng.choice(candidates)].pop(0)
 
 
+def _old_sweep_order(materializer, controls, trace_ids):
+    """The pairs a sweep evaluates, in the order the pre-assembly sweep
+    found them: every (trace, control) pair, canonical order, that is
+    dirty or was never evaluated.  Call after registering *controls*."""
+    return [
+        (control.name, trace_id)
+        for trace_id in trace_ids
+        for control in controls
+        if (control.name, trace_id) in materializer._dirty
+        or (control.name, trace_id) not in materializer._verdicts
+    ]
+
+
 class TestDifferentialIdentity:
     def test_200_interleavings_match_cold_sweeps(
         self, hiring_model, hiring_xom, hiring_vocabulary, tool
     ):
+        """Interleaved appends, sweeps, targeted checks, served reads and
+        registry/snapshot steps always read like a cold sweep.  Each
+        sweep evaluates the pairs the old every-pair scan found, in its
+        order, and a served read's rows carry their own verdict's bytes."""
         controls = tool.deployed_controls()
         for iteration in range(200):
             rng = derive_rng(f"incremental-interleavings:{iteration}")
@@ -432,6 +451,47 @@ class TestDifferentialIdentity:
             cold = ComplianceEvaluator(
                 store, hiring_xom, hiring_vocabulary, share_contexts=False
             )  # stateless: every call is a cold evaluation
+            runtime = ComplianceRuntime(
+                store, hiring_xom, hiring_vocabulary, controls
+            )
+            runtime.open()
+            materializers = (live.materializer, runtime.materializer)
+            transitions = []
+            live.materializer.subscribe(
+                lambda t: transitions.append((t.control_name, t.trace_id))
+            )
+            saved = False
+
+            def swept(materializer):
+                for control in controls:
+                    materializer.register(control)
+                return _old_sweep_order(
+                    materializer, controls, store.app_ids()
+                )
+
+            def check_live(label):
+                expected = swept(live.materializer)
+                del transitions[:]
+                assert norm(live.run(controls)) == \
+                    norm(cold.run(controls)), label
+                assert transitions == expected, label
+
+            def check_served(label):
+                expected = swept(runtime.materializer)
+                newest = runtime.transitions_since(0)[0]
+                rows = runtime.verdict_rows()
+                fed = [
+                    (t.control_name, t.trace_id)
+                    for __, t in runtime.transitions_since(newest)[1]
+                ]
+                assert fed == expected, label
+                assert norm([r for r, __ in rows]) == \
+                    norm(cold.run(controls)), label
+                for result, encoded in rows:
+                    assert encoded == json.dumps(
+                        result.to_payload()
+                    ).encode(), label
+
             n_traces = rng.randrange(2, 5)
             streams = [
                 trace_stream(_variant(rng, f"App{i:02d}"))
@@ -439,18 +499,35 @@ class TestDifferentialIdentity:
             ]
             for record in _interleave(rng, streams):
                 store.append(record)
+                label = f"iteration {iteration}"
                 roll = rng.random()
                 if roll < 0.06:
-                    assert norm(live.run(controls)) == \
-                        norm(cold.run(controls)), f"iteration {iteration}"
+                    check_live(label)
                 elif roll < 0.12:
                     trace_id = rng.choice(store.app_ids())
                     control = rng.choice(controls)
                     assert norm([live.check_trace(control, trace_id)]) == \
-                        norm([cold.check_trace(control, trace_id)]), \
-                        f"iteration {iteration}"
-            assert norm(live.run(controls)) == norm(cold.run(controls)), \
-                f"iteration {iteration} (final)"
+                        norm([cold.check_trace(control, trace_id)]), label
+                elif roll < 0.17:
+                    check_served(label)
+                elif roll < 0.19:
+                    rng.choice(materializers).unregister(
+                        rng.choice(controls).name
+                    )
+                elif roll < 0.21:
+                    # An equal control under the same name is a different
+                    # object: the column is re-materialized.
+                    rng.choice(materializers).register(
+                        dataclasses.replace(rng.choice(controls))
+                    )
+                elif roll < 0.23:
+                    live.materializer.save()
+                    saved = True
+                elif roll < 0.25 and saved:
+                    rng.choice(materializers).restore()
+            check_live(f"iteration {iteration} (final)")
+            check_served(f"iteration {iteration} (final)")
+            runtime.shutdown()
 
     def test_sqlite_reopen_interleavings_match_cold_sweeps(
         self, tmp_path, hiring_model, hiring_xom, hiring_vocabulary, tool

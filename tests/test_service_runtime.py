@@ -5,8 +5,11 @@ to a cold sweep of the same store at the same instant, under ingestion,
 concurrent readers, out-of-band writers, and shutdown/restart cycles.
 """
 
+import dataclasses
 import json
+import sys
 import threading
+import time
 
 import pytest
 
@@ -16,7 +19,7 @@ from repro.controls.evaluator import ComplianceEvaluator
 from repro.errors import CaptureError, MappingError, ServiceError
 from repro.faults import FaultPlan, SimulatedCrash, active_plan
 from repro.model.records import RelationRecord
-from repro.processes import hiring
+from repro.processes import expenses, hiring, incidents, procurement
 from repro.processes.engine import ProcessSimulator, all_events
 from repro.processes.violations import ViolationPlan
 from repro.service import ComplianceRuntime, InProcessTransport
@@ -25,8 +28,7 @@ from repro.store.backends import (
     ShardedBackend,
     SQLiteBackend,
 )
-from repro.store.cursor import cursor_to_wire
-from repro.store.query import RecordQuery
+from repro.store.cursor import cursor_from_wire, cursor_to_wire, cursor_total
 from repro.store.store import ProvenanceStore
 
 
@@ -35,7 +37,7 @@ def _event_stream(workload, cases, seed=11, rate=0.25):
     simulator = ProcessSimulator(
         workload.build_spec(),
         workload.case_factory(
-            ViolationPlan.uniform(list(hiring.VIOLATION_KINDS), rate)
+            ViolationPlan.uniform(list(workload.violation_kinds), rate)
         ),
         seed=seed,
     )
@@ -71,6 +73,12 @@ def _relation_rows(store):
 def _assert_no_repeated_edges(rows):
     edges = [row[:3] for row in rows]
     assert len(set(edges)) == len(edges)
+
+
+def _sqlite_backend(db, shards):
+    if shards == 1:
+        return SQLiteBackend(db, threadsafe=True)
+    return ShardedBackend.for_sqlite(db, shards, threadsafe=True)
 
 
 def _open_runtime(workload, cases=0, seed=2011, backend=None, **kwargs):
@@ -495,10 +503,9 @@ class TestStoredVerdictBytes:
         )
         for control in sim.controls:
             deployment.deploy(control)
-        materializer = deployment.materializer
-        results = materializer.all_latest()
-        assert len(results) == 5 * len(sim.controls)
-        for result, encoded in materializer.encoded_rows(results):
+        rows = deployment.materializer.sweep(sim.controls)
+        assert len(rows) == 5 * len(sim.controls)
+        for result, encoded in rows:
             assert result.control_node_id is not None
             assert encoded == json.dumps(result.to_payload()).encode()
             assert (
@@ -550,8 +557,6 @@ class _LaneContract:
     """
 
     SHARDS = 1
-    #: whether reads decode stored rows (every shape but memory).
-    DECODES_ROWS = True
 
     def _medium(self, tmp_path):
         """What survives a restart: a memory backend or a database path."""
@@ -660,7 +665,9 @@ class _LaneContract:
         self, attach, monkeypatch
     ):
         """A read right after a small ingest builds frames for the traces
-        the ingest touched, never from a whole-store scan."""
+        the ingest touched, never from a whole-store scan, and decodes no
+        row: the lanes hand the records they committed to the global
+        handle, so neither its sync nor the frame builds decode one."""
         from tests.test_store_query import count_decodes
 
         workload = hiring.workload()
@@ -687,7 +694,7 @@ class _LaneContract:
                         trace_events[:cut] if part == 0
                         else trace_events[cut:]
                     )
-                rounds.append((pair, batch))
+                rounds.append(batch)
 
         scans = []
         armed = [False]
@@ -702,9 +709,8 @@ class _LaneContract:
             monkeypatch.setattr(ProvenanceStore, name, spy)
         counts = count_decodes(monkeypatch)
 
-        for touched, batch in rounds:
+        for batch in rounds:
             decodes_before = counts["decodes"]
-            rows_before = len(sim.store)
             armed[0] = True
             runtime.ingest(batch)
             violated = runtime.verdicts(status="violated")
@@ -712,22 +718,13 @@ class _LaneContract:
             armed[0] = False
             decoded = counts["decodes"] - decodes_before
             assert scans == []
+            assert decoded == 0
             expected = _cold_sweep_payloads(sim)
             assert served == expected
             assert [r.to_payload() for r in violated] == [
                 payload for payload in json.loads(expected)
                 if payload["status"] == "violated"
             ]
-            if self.DECODES_ROWS:
-                # The read folds each new row once (the materializer's
-                # observers see it), then builds each touched trace's
-                # frame from that trace's rows.
-                added = len(sim.store) - rows_before
-                held = sum(
-                    len(sim.store.select(RecordQuery(app_id=trace)))
-                    for trace in touched
-                )
-                assert decoded <= held + added
         runtime.shutdown()
 
     def test_sharded_restart_resumes_with_zero_reevaluations(
@@ -832,8 +829,6 @@ class TestMemoryLane(_LaneContract):
     """The lane contract over one plain memory backend: the lane shares
     the backend object, and a restart reopens that same object."""
 
-    DECODES_ROWS = False
-
     def _medium(self, tmp_path):
         return MemoryBackend()
 
@@ -880,13 +875,10 @@ class TestLaneHandles:
     @pytest.mark.parametrize("shards", [1, 4])
     def test_reads_do_not_wait_for_the_global_lock(self, tmp_path, shards):
         workload = hiring.workload()
-        db = str(tmp_path / "reads.db")
-        backend = (
-            SQLiteBackend(db, threadsafe=True)
-            if shards == 1
-            else ShardedBackend.for_sqlite(db, shards, threadsafe=True)
+        sim, runtime = _open_runtime(
+            workload,
+            backend=_sqlite_backend(str(tmp_path / "reads.db"), shards),
         )
-        sim, runtime = _open_runtime(workload, backend=backend)
         runtime.open()
         runtime.ingest(_event_stream(workload, cases=4))
         warm = _served_payloads(runtime)  # fills the read cache
@@ -920,6 +912,355 @@ class TestLaneHandles:
         assert len(answers["stats"]["lanes"]) == shards
         assert answers["health"]["status"] == "ok"
         assert answers["verdicts"] == warm
+        runtime.shutdown()
+
+
+class TestHandoffDecodes:
+    """Lanes hand the records they commit to the global handle: a tick
+    or read after in-process ingest decodes nothing, and a row another
+    handle wrote is decoded once."""
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_background_sync_after_ingest_decodes_nothing(
+        self, tmp_path, shards, monkeypatch
+    ):
+        from tests.test_store_query import count_decodes
+
+        workload = hiring.workload()
+        backend = _sqlite_backend(str(tmp_path / "tick.db"), shards)
+        sim, runtime = _open_runtime(workload, backend=backend)
+        runtime.open()
+        events = _event_stream(workload, cases=8, seed=37)
+        runtime.ingest(events[: len(events) // 2])
+        runtime.sync()
+        counts = count_decodes(monkeypatch)
+        runtime.ingest(events[len(events) // 2:])
+        outcome = runtime.sync()
+        assert outcome.new_rows > 0 and outcome.refreshed > 0
+        runtime.verdicts()
+        assert counts["decodes"] == 0
+        assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
+        runtime.shutdown()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_a_row_from_another_handle_is_decoded_once(
+        self, tmp_path, shards, monkeypatch
+    ):
+        from tests.test_store_query import count_decodes
+
+        workload = hiring.workload()
+        db = str(tmp_path / "oob.db")
+        sim, runtime = _open_runtime(
+            workload, backend=_sqlite_backend(db, shards)
+        )
+        runtime.open()
+        runtime.ingest(_event_stream(workload, cases=6, seed=37))
+        runtime.sync()
+        other = ProvenanceStore(
+            model=workload.build_model(), backend=_sqlite_backend(db, shards)
+        )
+        template = next(
+            record for record in other.records()
+            if isinstance(record, RelationRecord)
+            and record.entity_type == "notificationFor"
+        )
+        counts = count_decodes(monkeypatch)
+        other.append(dataclasses.replace(template, record_id="oob-1"))
+        other.close()
+        assert runtime.sync().new_rows == 1
+        verdicts = runtime.verdicts()
+        # The lane's fold decodes the row; the global sync and the frame
+        # build of its trace read the record the lane handed over.
+        assert counts["decodes"] == 1
+        assert [r.to_payload() for r in verdicts] == json.loads(
+            _cold_sweep_payloads(sim)
+        )
+        runtime.shutdown()
+
+    def test_an_overflowing_handoff_drops_the_oldest_records(
+        self, tmp_path, monkeypatch
+    ):
+        """Between folds a lane keeps at most ``HANDOFF_LIMIT`` records;
+        the global sync decodes the rows of the ones it dropped."""
+        from repro.service import lanes
+        from tests.test_store_query import count_decodes
+
+        monkeypatch.setattr(lanes, "HANDOFF_LIMIT", 5)
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(
+            workload, backend=_sqlite_backend(str(tmp_path / "o.db"), 1)
+        )
+        runtime.open()
+        (lane,) = runtime._lanes
+        events = _event_stream(workload, cases=6, seed=37)
+        last = events[-1].app_id
+        runtime.ingest([event for event in events if event.app_id != last])
+        runtime.verdicts()
+        counts = count_decodes(monkeypatch)
+        reply = runtime.ingest(
+            [event for event in events if event.app_id == last]
+        )
+        written = reply.recorded + reply.correlated
+        assert written > 5
+        assert len(lane._handoff) == 5
+        assert counts["decodes"] == 0
+        runtime.verdicts()
+        assert counts["decodes"] == written - 5
+        assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
+        runtime.shutdown()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_store_sync_caches_the_rows_it_decodes(
+        self, tmp_path, shards, monkeypatch
+    ):
+        """Without lanes (a plain evaluator over a synced store), the
+        sync decodes an out-of-band row once and the frame build that
+        follows reads the record it cached."""
+        from tests.test_store_query import count_decodes
+
+        workload = hiring.workload()
+        db = str(tmp_path / "plain.db")
+        sim = workload.simulate(
+            cases=4, seed=2011, backend=_sqlite_backend(db, shards)
+        )
+        evaluator = ComplianceEvaluator(
+            sim.store, sim.xom, sim.vocabulary,
+            observable_types=sim.observable_types,
+        )
+        evaluator.run(sim.controls)
+        other = ProvenanceStore(
+            model=workload.build_model(), backend=_sqlite_backend(db, shards)
+        )
+        template = next(
+            record for record in other.records()
+            if isinstance(record, RelationRecord)
+            and record.entity_type == "notificationFor"
+        )
+        other.append(dataclasses.replace(template, record_id="oob-2"))
+        other.close()
+        counts = count_decodes(monkeypatch)
+        assert sim.store.sync() == 1
+        before = evaluator.materializer.refreshes
+        served = evaluator.run(sim.controls)
+        assert evaluator.materializer.refreshes == before + len(sim.controls)
+        assert counts["decodes"] == 1
+        assert [r.to_payload() for r in served] == json.loads(
+            _cold_sweep_payloads(sim)
+        )
+        sim.store.close()
+
+    @pytest.mark.parametrize(
+        "module", [expenses, hiring, incidents, procurement],
+        ids=lambda module: module.__name__.rsplit(".", 1)[-1],
+    )
+    def test_handed_records_equal_the_decode_of_their_rows(
+        self, tmp_path, module
+    ):
+        workload = module.workload()
+        db = str(tmp_path / "handoff.db")
+        sim, runtime = _open_runtime(
+            workload, backend=_sqlite_backend(db, 4)
+        )
+        runtime.open()
+        handed = []
+        for lane in runtime._lanes:
+            original = lane.take_handoff
+
+            def take(_original=original):
+                records = _original()
+                handed.extend(records)
+                return records
+
+            lane.take_handoff = take
+        events = _event_stream(workload, cases=6, seed=53)
+        for start in range(0, len(events), 9):
+            runtime.ingest(events[start:start + 9])
+            runtime.sync()
+        assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
+        runtime.shutdown()
+        reader = ProvenanceStore(
+            model=workload.build_model(), backend=_sqlite_backend(db, 4)
+        )
+        rows = {row.record_id: row for row in reader.rows()}
+        assert len(handed) == len(rows) > 0
+        for record in handed:
+            decoded = reader.codec.decode_row(rows[record.record_id])
+            assert type(record) is type(decoded)
+            assert record == decoded
+            assert repr(record) == repr(decoded)
+        reader.close()
+
+
+class _HeldRead:
+    """A sqlite3 connection stand-in: the first statement run from a
+    thread that does not hold the runtime's global lock stays open — its
+    WAL read snapshot pinned — until :attr:`release` is set."""
+
+    def __init__(self, conn, lock):
+        self.conn = conn
+        self.lock = lock
+        self.held = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+    def execute(self, *args):
+        cursor = self.conn.execute(*args)
+        if not self.lock._is_owned() and not self.held.is_set():
+            self.held.set()
+            self.release.wait(10.0)
+        return cursor
+
+
+class TestLockFreeShardReads:
+    """``ingest`` replies, ``stats`` and ``health`` run without the global
+    lock, so they must not touch the global shard connections, which a
+    concurrent snapshot writes through."""
+
+    @pytest.mark.parametrize("call", ["stats", "health", "ingest"])
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_a_lock_free_read_cannot_break_a_snapshot(
+        self, tmp_path, shards, call
+    ):
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(
+            workload, backend=_sqlite_backend(str(tmp_path / "r.db"), shards)
+        )
+        runtime.open()
+        events = [
+            event
+            for event in _event_stream(workload, cases=16, seed=41)
+            if runtime._lane_for(event) == 0
+        ]
+        traces = sorted({event.app_id for event in events})
+        assert len(traces) >= 3
+        batches = [
+            [event for event in events if event.app_id == trace]
+            for trace in traces[:3]
+        ]
+        runtime.ingest(batches[0])
+        runtime.snapshot()
+        child = runtime.store.backend.shard_backends()[0]
+        held = _HeldRead(child._conn, runtime._lock)
+        child._conn = held
+        errors = []
+
+        def read():
+            try:
+                if call == "ingest":
+                    runtime.ingest(batches[1])
+                else:
+                    getattr(runtime, call)()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        while reader.is_alive() and not held.held.is_set():
+            time.sleep(0.001)
+        try:
+            # Lane 0 commits past any read snapshot the reader holds on
+            # shard 0's global connection, then the snapshot writes
+            # through that connection.
+            runtime.ingest(batches[2])
+            runtime.snapshot()
+        finally:
+            held.release.set()
+            reader.join()
+            child._conn = held.conn
+        assert errors == []
+        assert not held.held.is_set()
+        assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
+        runtime.shutdown()
+
+    @pytest.mark.parametrize("owns_store", [False, True])
+    def test_health_and_stats_answer_after_shutdown(
+        self, tmp_path, owns_store
+    ):
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(
+            workload,
+            backend=_sqlite_backend(str(tmp_path / "s.db"), 4),
+            owns_store=owns_store,
+        )
+        runtime.open()
+        runtime.ingest(_event_stream(workload, cases=5, seed=47))
+        runtime.sync()
+        before = runtime.stats()
+        runtime.shutdown()
+        health = runtime.health()
+        assert health["status"] == "stopped"
+        assert health["traces"] == before["traces"] == 5
+        assert health["last_seq"] == before["last_seq"]
+        after = runtime.stats()
+        assert (after["traces"], after["rows"]) == (
+            before["traces"], before["rows"]
+        )
+
+    def test_polls_during_snapshots_and_ingest(self, tmp_path):
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(
+            workload, backend=_sqlite_backend(str(tmp_path / "p.db"), 4)
+        )
+        runtime.open()
+        events = _event_stream(workload, cases=12, seed=43)
+        stop = threading.Event()
+        errors = []
+        polls = [0]
+
+        def poll():
+            try:
+                while not stop.is_set():
+                    stats = runtime.stats()
+                    health = runtime.health()
+                    assert health["status"] == "ok"
+                    assert len(stats["lanes"]) == 4
+                    polls[0] += 1
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def snapshot():
+            try:
+                while not stop.is_set():
+                    runtime.snapshot()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=poll),
+            threading.Thread(target=poll),
+            threading.Thread(target=snapshot),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-statement often
+        for thread in threads:
+            thread.start()
+        previous = cursor_from_wire(runtime.stats()["last_seq"])
+        try:
+            for start in range(0, len(events), 5):
+                reply = runtime.ingest(events[start:start + 5])
+                # The reply's cursor covers exactly its batch's rows:
+                # the events it recorded and the relations it correlated.
+                assert cursor_total(reply.last_seq) - cursor_total(
+                    previous
+                ) == reply.recorded + reply.correlated
+                previous = reply.last_seq
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert polls[0] > 0
+        runtime.sync()
+        assert previous == runtime.store.last_seq()
+        stats = runtime.stats()
+        assert cursor_from_wire(stats["last_seq"]) == previous
+        assert stats["traces"] == len({event.app_id for event in events})
+        assert stats["rows"] == len(sim.store)
+        assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
         runtime.shutdown()
 
 
