@@ -37,7 +37,8 @@ execution, never across two.  The edges a trace already has are therefore
 exactly its own relation rows, read with the trace's records, and a run
 keeps no store-wide edge set.  Relation ids (``REL<n>``) are the only
 state spanning traces; :func:`relation_ids` resumes their sequence on a
-populated store from one backend aggregate.
+populated store from one backend aggregate, so a minted id is new to
+every shard and the append needs no retry loop.
 """
 
 from __future__ import annotations
@@ -348,7 +349,8 @@ class CorrelationAnalytics:
     Args:
         store: the provenance store read from and appended to.
         model: data model for endpoint validation (defaults to the store's).
-        ids: relation id factory.
+        ids: relation id factory; defaults to :func:`relation_ids`, which
+            continues the store's ``REL<n>`` sequence.
         use_planner: execute rules via their plans (hash joins, bucket
             products).  ``False`` forces the naive per-rule cartesian scan —
             the planner's differential baseline; outputs are byte-identical
@@ -364,7 +366,7 @@ class CorrelationAnalytics:
     ) -> None:
         self.store = store
         self.model = model if model is not None else store.model
-        self.ids = ids or IdFactory()
+        self.ids = ids if ids is not None else relation_ids(store)
         self.use_planner = use_planner
         self._rules: List[CorrelationRule] = []
         #: stats of the most recent :meth:`run` (None before the first run).
@@ -474,13 +476,8 @@ class CorrelationAnalytics:
         if key in existing:
             return None
         existing.add(key)
-        record_id = self.ids.next(_REL_PREFIX)
-        while record_id in self.store:
-            # A fresh analytics instance over a pre-populated store
-            # restarts its counter; skip ids already taken.
-            record_id = self.ids.next(_REL_PREFIX)
         relation = RelationRecord.create(
-            record_id=record_id,
+            record_id=self.ids.next(_REL_PREFIX),
             app_id=app_id,
             entity_type=rule.relation_type,
             source_id=source.record_id,

@@ -7,6 +7,9 @@ The recorder is also where *idempotent capture* happens: the same business
 artifact observed twice (a document saved, then re-opened by an auditor)
 maps to the same record id, and the recorder skips the duplicate rather
 than failing — recording clients on different systems routinely overlap.
+The store's append is the one duplicate probe: the recorder counts a
+duplicate when the append refuses the id, so each event costs one probe
+of its trace's home shard, embedded or served.
 
 Since the service refactor the client is **transport-pluggable**: built
 with a *store* it runs the whole pipeline locally (the original embedded
@@ -27,8 +30,8 @@ from typing import Iterable, List, Optional, Tuple
 from repro.capture.events import ApplicationEvent, EventEnvelope
 from repro.capture.filters import RelevanceFilter, SensitiveDataScrubber
 from repro.capture.mapping import EventMapping
-from repro.errors import CaptureError, MappingError
-from repro.store.cursor import Cursor, cursor_to_wire
+from repro.errors import CaptureError, DuplicateRecordId, MappingError
+from repro.store.cursor import VectorCursor, cursor_to_wire
 from repro.store.store import ProvenanceStore
 
 #: server-side disposition reasons a remote recorder folds into its stats.
@@ -47,9 +50,9 @@ class RecorderStats:
     duplicates: int = 0
     scrubbed_fields: int = 0
     #: Store change-feed position after the last append — the checkpoint an
-    #: incremental consumer (``changes_since``) resumes from.  An int for
-    #: plain stores, a per-shard vector cursor for sharded ones.
-    last_seq: Cursor = 0
+    #: incremental consumer (``changes_since``) resumes from.  Empty (no
+    #: shard) until the recorder knows a store position.
+    last_seq: VectorCursor = VectorCursor(())
 
     def as_dict(self) -> dict:
         return {
@@ -64,7 +67,7 @@ class RecorderStats:
 
     @classmethod
     def aggregate(
-        cls, parts: Iterable["RecorderStats"], last_seq: Cursor = 0
+        cls, parts: Iterable["RecorderStats"], last_seq: VectorCursor
     ) -> "RecorderStats":
         """Sum counters across recorders (one per ingest lane).
 
@@ -145,6 +148,8 @@ class RecorderClient:
         self.scrubber = scrubber
         self.strict = strict
         self.stats = RecorderStats()
+        if store is not None:
+            self.stats.last_seq = store.last_seq()
         # Compile the store's per-type XML codecs up front: the first event
         # of each record type should not pay codec generation inside the
         # ingest loop, and every subsequent append reuses the compiled
@@ -199,7 +204,9 @@ class RecorderClient:
             )
 
         record = rule.build_record(event, self.mapping.model)
-        if record.record_id in self.store:
+        try:
+            self.store.append(record)
+        except DuplicateRecordId:
             self.stats.duplicates += 1
             return EventEnvelope(
                 event,
@@ -207,8 +214,6 @@ class RecorderClient:
                 dropped_reason=_REASON_DUPLICATE,
                 scrubbed_fields=scrubbed_count,
             )
-
-        self.store.append(record)
         self.stats.recorded += 1
         self.stats.last_seq = self.store.last_seq()
         return EventEnvelope(

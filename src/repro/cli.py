@@ -42,7 +42,8 @@ the stored rows — the capture-once / audit-later split of §II.A::
     python -m repro check hiring --backend sqlite --db out.db
 
 ``--shards N`` partitions the store by APPID hash into N child backends
-(for SQLite: ``out.db.shard-00`` … files, each with its own write lock),
+(for SQLite: ``out.db.shard-00`` … files, each with its own write lock;
+the default single shard is ``out.db`` itself),
 and ``store-stats`` prints per-shard row counts, feed positions, and
 on-disk sizes for eyeballing the balance::
 
@@ -64,12 +65,7 @@ from repro.processes import expenses, hiring, incidents, procurement
 from repro.processes.violations import ViolationPlan
 from repro.processes.visibility import VisibilityPolicy
 from repro.reporting.tables import render_provenance_table
-from repro.store.backends import (
-    MemoryBackend,
-    ShardedBackend,
-    SQLiteBackend,
-    StorageBackend,
-)
+from repro.store.backends import MemoryBackend, ShardedBackend, SQLiteBackend
 
 WORKLOADS = {
     "hiring": hiring,
@@ -106,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help=(
                 "partition the store into N shards by APPID hash (for "
                 "sqlite: one <db>.shard-0i file per shard, each with its "
-                "own write lock)"
+                "own write lock; one shard is <db> itself)"
             ),
         )
 
@@ -266,31 +262,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _backend_for(args, threadsafe: bool = False) -> Optional[StorageBackend]:
-    """The storage backend the flags select; None means in-memory default.
+def _backend_for(args, threadsafe: bool = False) -> ShardedBackend:
+    """The sharded storage backend the flags select (``--shards``
+    children, one by default).
 
     *threadsafe* relaxes SQLite's same-thread check for stores a service
     runtime serializes behind its own lock (``serve``'s HTTP handler
     threads).
     """
     shards = getattr(args, "shards", 1)
-    sqlite_options = {"threadsafe": True} if threadsafe else {}
-    if shards > 1:
-        if args.backend == "sqlite":
-            if args.db:
-                return ShardedBackend.for_sqlite(
-                    args.db, shards, **sqlite_options
-                )
-            return ShardedBackend(
-                [
-                    SQLiteBackend(":memory:", **sqlite_options)
-                    for _ in range(shards)
-                ]
-            )
+    if args.backend != "sqlite":
         return ShardedBackend([MemoryBackend() for _ in range(shards)])
-    if args.backend == "sqlite":
-        return SQLiteBackend(args.db or ":memory:", **sqlite_options)
-    return None
+    sqlite_options = {"threadsafe": True} if threadsafe else {}
+    if args.db:
+        return ShardedBackend.for_sqlite(args.db, shards, **sqlite_options)
+    return ShardedBackend(
+        [SQLiteBackend(":memory:", **sqlite_options) for _ in range(shards)]
+    )
 
 
 def _simulate(args, threadsafe: bool = False):
@@ -302,7 +290,7 @@ def _simulate(args, threadsafe: bool = False):
         else None
     )
     backend = _backend_for(args, threadsafe=threadsafe)
-    if backend is not None and backend.count() > 0:
+    if backend.count() > 0:
         # The --db already holds captured rows: audit them instead of
         # re-simulating.  Verdicts match the run that wrote the rows.
         from repro.store.store import ProvenanceStore
@@ -590,8 +578,6 @@ def _print_lane_stats(backend, out) -> None:
 def cmd_store_stats(args, out) -> int:
     """Per-shard row counts, feed positions, and on-disk sizes."""
     backend = _backend_for(args)
-    if backend is None:
-        backend = MemoryBackend()
     try:
         children = backend.shard_backends()
         total_rows = 0

@@ -35,6 +35,11 @@ from repro.store.store import ProvenanceStore
 
 CONTROL_NODE_TYPE = "controlpoint"
 
+#: id prefixes control points (``CTL1`` …) and their edges (``CTLE1`` …)
+#: are minted under.
+_NODE_PREFIX = "CTL"
+_EDGE_PREFIX = "CTLE"
+
 # Relation type emitted per record class of the checked node.
 _CHECK_RELATIONS = {
     RecordClass.DATA: "checks",
@@ -70,28 +75,41 @@ def ensure_control_schema(model: ProvenanceDataModel) -> None:
             )
 
 
+def control_ids(store: ProvenanceStore) -> IdFactory:
+    """An id factory continuing *store*'s ``CTL<n>`` and ``CTLE<n>``
+    sequences, like :func:`~repro.capture.correlation.relation_ids`: one
+    backend aggregate per prefix, no row decoded, and every minted id new
+    to every shard."""
+    ids = IdFactory()
+    for prefix in (_NODE_PREFIX, _EDGE_PREFIX):
+        highest = store.backend.highest_id(prefix)
+        if highest:
+            ids.seed(prefix, highest + 1)
+    return ids
+
+
 class ControlBinder:
-    """Writes control-point nodes and their edges into a store."""
+    """Writes control-point nodes and their edges into a store.
+
+    Args:
+        store: the store the control points are appended to.
+        ids: control id factory; defaults to :func:`control_ids`, which
+            continues the store's ``CTL<n>``/``CTLE<n>`` sequences.
+    """
 
     def __init__(
         self, store: ProvenanceStore, ids: Optional[IdFactory] = None
     ) -> None:
         self.store = store
-        self.ids = ids or IdFactory()
+        self.ids = ids if ids is not None else control_ids(store)
         if store.model is not None:
             ensure_control_schema(store.model)
-
-    def _next_id(self, prefix: str) -> str:
-        record_id = self.ids.next(prefix)
-        while record_id in self.store:
-            record_id = self.ids.next(prefix)
-        return record_id
 
     def bind(self, result: ComplianceResult) -> CustomRecord:
         """Materialize *result* as a control-point subgraph; returns the
         custom node.  The result's ``control_node_id`` is filled in."""
         control_node = CustomRecord.create(
-            record_id=self._next_id("CTL"),
+            record_id=self.ids.next(_NODE_PREFIX),
             app_id=result.trace_id,
             entity_type=CONTROL_NODE_TYPE,
             timestamp=result.checked_at,
@@ -122,7 +140,7 @@ class ControlBinder:
                 ) from exc
             self.store.append(
                 RelationRecord.create(
-                    record_id=self._next_id("CTLE"),
+                    record_id=self.ids.next(_EDGE_PREFIX),
                     app_id=result.trace_id,
                     entity_type=_CHECK_RELATIONS[target.record_class],
                     source_id=control_node.record_id,

@@ -65,11 +65,7 @@ from repro.controls.status import ComplianceResult, ComplianceStatus
 from repro.errors import BrmsError, StoreError
 from repro.faults.points import crash_point
 from repro.model.records import ProvenanceRecord, RelationRecord
-from repro.store.cursor import (
-    cursor_covers,
-    cursor_from_wire,
-    cursor_to_wire,
-)
+from repro.store.cursor import coerce_cursor, cursor_covers, cursor_to_wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.controls.evaluator import ComplianceEvaluator
@@ -541,15 +537,21 @@ class VerdictMaterializer:
         snapshot = json.loads(raw)
         if snapshot.get("version") != _SNAPSHOT_VERSION:
             return False
-        snap_cursor = cursor_from_wire(snapshot["cursor"])
+        # A snapshot written before every store was sharded carries a bare
+        # int cursor; it reads as a one-shard position here, once, so old
+        # snapshots keep restoring into one shard.  A cursor from another
+        # shard layout does not coerce, and the caller rebuilds cold.
+        try:
+            snap_cursor = coerce_cursor(
+                snapshot["cursor"], self.store.shard_count()
+            )
+        except ValueError:
+            return False
         if not cursor_covers(self.store.last_seq(), snap_cursor):
             # The snapshot describes rows the store no longer holds — a
             # crash made the aux-state write outlive the row suffix it
-            # summarized — or was taken under a different shard layout.
-            # Its verdicts may cite vanished evidence, so the only safe
-            # answer is a cold re-materialization.  Pre-sharding int
-            # cursors compare fine against a single-shard vector (the
-            # N=1 degenerate case), so old snapshots keep restoring.
+            # summarized.  Its verdicts may cite vanished evidence, so the
+            # only safe answer is a cold re-materialization.
             return False
         crash_point("materializer.restore.mid_restore")
         self._trace_rows = {}

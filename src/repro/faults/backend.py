@@ -100,12 +100,6 @@ class FaultyBackend(StorageBackend):
             return
         self.inner.bind_columnar(codec)
 
-    def shard_count(self) -> int:
-        return self.inner.shard_count()
-
-    def shard_index(self, app_id: str) -> int:
-        return self.inner.shard_index(app_id)
-
     def _check_alive(self) -> None:
         if self._crashed:
             raise BackendError("faulty backend has crashed; recover() first")

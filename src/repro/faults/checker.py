@@ -227,12 +227,12 @@ def run_schedule(
 ) -> ScheduleReport:
     """Run one seeded crash schedule and verify the recovery invariants.
 
-    With *shards* > 1 the store is a :class:`ShardedBackend` whose
-    children are individually fault-wrapped: a scripted crash can kill
-    one shard mid-flush while the others survive, and the recovery
-    invariants are then asserted per shard (each recovered shard holds a
-    clean prefix of the appends routed to it, at or above that shard's
-    durability floor) as well as globally.
+    The store is a :class:`ShardedBackend` of *shards* children, each
+    individually fault-wrapped: a scripted crash can kill one shard
+    mid-flush while the others survive, and the recovery invariants are
+    then asserted per shard (each recovered shard holds a clean prefix of
+    the appends routed to it, at or above that shard's durability floor)
+    as well as globally.
 
     Raises :class:`CheckFailure` (with the replay seed in the message) on
     any violation; returns a :class:`ScheduleReport` on success.
@@ -252,22 +252,19 @@ def run_schedule(
     records = _interleave(rng, [scenario.streams[t] for t in chosen])
 
     plan = FaultPlan(seed=seed)
-    points = _CRASH_POINTS[backend]
-    if shards > 1:
-        # Shard-level crash windows: die between one shard's flush and
-        # the next, or on the routed append path of one shard.
-        points = points + tuple(
-            f"sharded.flush.shard{i}" for i in range(shards)
-        ) + tuple(
-            f"sharded.append.shard{i}" for i in range(shards)
-        )
+    # Shard-level crash windows: die between one shard's flush and the
+    # next, or on the routed append path of one shard.
+    points = _CRASH_POINTS[backend] + tuple(
+        f"sharded.flush.shard{i}" for i in range(shards)
+    ) + tuple(
+        f"sharded.append.shard{i}" for i in range(shards)
+    )
     _script_faults(rng, plan, backend, len(records), points=points)
 
     def make_child(index: int):
         if backend == "sqlite":
-            suffix = f"-shard{index}" if shards > 1 else ""
             return SQLiteBackend(
-                os.path.join(workdir, f"chaos-{seed}{suffix}.db"),
+                os.path.join(workdir, f"chaos-{seed}-shard{index}.db"),
                 batch_size=rng.choice((2, 8, 256)),
             )
         return MemoryBackend()
@@ -277,7 +274,7 @@ def run_schedule(
     proxies = [
         FaultyBackend(make_child(i), plan) for i in range(shards)
     ]
-    faulty = ShardedBackend(proxies) if shards > 1 else proxies[0]
+    faulty = ShardedBackend(proxies)
 
     def fail(detail: str) -> CheckFailure:
         shard_arg = f" --shards {shards}" if shards > 1 else ""
@@ -351,12 +348,9 @@ def run_schedule(
 
     # -- recovery -----------------------------------------------------------
     try:
-        if shards > 1:
-            recovered_backend = ShardedBackend(
-                [proxy.recover() for proxy in proxies]
-            )
-        else:
-            recovered_backend = proxies[0].recover()
+        recovered_backend = ShardedBackend(
+            [proxy.recover() for proxy in proxies]
+        )
         recovered = ProvenanceStore(
             model=scenario.model, backend=recovered_backend
         )
@@ -381,19 +375,15 @@ def run_schedule(
 
     # Invariant 2: clean prefix, at or above the durability floor —
     # asserted per shard, because each shard loses its own staged tail
-    # independently (shards=1 degenerates to the global check).
+    # independently (one shard is the global check).
     for index in range(shards):
         routed = [
             row for row in acked_rows
             if shard_index_for(row[2], shards) == index
         ]
-        child = (
-            recovered_backend.shard(index) if shards > 1
-            else recovered_backend
-        )
         child_rows = [
             (r.record_id, r.record_class, r.app_id, r.xml)
-            for r in child.iter_rows()
+            for r in recovered_backend.shard(index).iter_rows()
         ]
         if child_rows != routed[: len(child_rows)]:
             raise fail(
@@ -439,13 +429,9 @@ def run_schedule(
     # sweeps enumerate traces in the same canonical shard-grouped order;
     # the surviving set is the union of per-shard prefixes, selected by
     # recovered row id since it is no longer one global prefix.
-    oracle_backend = (
-        ShardedBackend([MemoryBackend() for _ in range(shards)])
-        if shards > 1
-        else None
-    )
     oracle_store = ProvenanceStore(
-        model=scenario.model, backend=oracle_backend
+        model=scenario.model,
+        backend=ShardedBackend([MemoryBackend() for _ in range(shards)]),
     )
     surviving_ids = set(ids)
     for record in acked_records:

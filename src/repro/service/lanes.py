@@ -7,8 +7,8 @@ its own lock.  Correlation keeps no edge set between batches: each pass
 reads the touched traces' rows, their existing relations included, so
 building a lane reads no rows.  The runtime routes events to lanes with
 the same APPID hash the backend uses, so ingest calls for traces on
-different shards never touch shared state and proceed in parallel.  An
-unsharded store is one shard with one lane.  Cross-shard state — the
+different shards never touch shared state and proceed in parallel.  A
+one-shard store has one lane.  Cross-shard state — the
 materializer, the verdict table, snapshots — stays behind the runtime's
 global lock, which folds lane output in through the store's change feed.
 
@@ -27,9 +27,10 @@ Lane ownership rules (see EXTENDING.md for the operator-facing version):
   both handles; they are always full records — projected records never
   enter a cache.  At most :data:`HANDOFF_LIMIT` records wait between
   folds;
-- the lane's store cursor (``lane.store.last_seq()``) is read without
-  the lock, like ``commits``: ingest replies and ``/stats`` answer the
-  change-feed position from it instead of querying a shard;
+- the lane's store is a one-shard store over its handle, so its cursor
+  (``lane.store.last_seq()``) has one component, the shard's; it is
+  read without the lock, like ``commits``: ingest replies and ``/stats``
+  answer the change-feed position from it instead of querying a shard;
 - lane locks nest *inside* the runtime's global lock (global → lane),
   never the reverse: the lane ingest path takes only its own lock, and
   the global fold/snapshot paths take the global lock first.
@@ -90,7 +91,10 @@ class IngestLane:
 
     Each batch fires the crash point ``sharded.append.shard<index>``,
     named like the sharded backend's own per-shard append points so the
-    chaos harness can crash a specific lane.
+    chaos harness can crash a specific lane.  The lane store's one-shard
+    wrapper also fires ``sharded.append.shard0`` and
+    ``sharded.flush.shard0`` on every row and flush, whatever the lane's
+    index.
     """
 
     def __init__(
@@ -147,11 +151,11 @@ class IngestLane:
 
     def ingest(self, events: Sequence[ApplicationEvent]) -> LaneResult:
         """Run one routed batch through this lane's pipeline."""
-        # Lane appends go through the lane handle, not the sharded
-        # backend's own append path, so its per-shard crash points would
-        # never fire; re-issue them here, before any append of the batch
-        # lands (a crashed batch is all-or-nothing and a re-send after
-        # reopen dedups cleanly).
+        # Lane appends go through the lane's one-shard store, whose
+        # wrapper numbers its only shard 0, not through the global
+        # sharded backend; fire this shard's own append point here,
+        # before any append of the batch lands (a crashed batch is
+        # all-or-nothing and a re-send after reopen dedups cleanly).
         crash_point(self.crash_tag)
         stats = self.recorder.stats
         before = (

@@ -32,7 +32,7 @@ readers query verdicts that the background loop keeps fresh.  The HTTP
 front end lives in :mod:`repro.service.http`; ``repro serve`` wires both.
 
 Thread safety: the runtime runs one **ingest lane** per shard
-(:mod:`repro.service.lanes`; an unsharded store is one shard) — each
+(:mod:`repro.service.lanes`; a one-shard store has one lane) — each
 lane owns its shard's store handle, recorder pipeline, dedup state, and
 incremental correlation under its own lock, and events route to lanes by
 the same stable APPID hash the backend uses — so concurrent ``ingest``
@@ -89,7 +89,7 @@ from repro.errors import ServiceError
 from repro.faults.points import crash_point
 from repro.service.lanes import IngestLane
 from repro.service.transport import IngestReply
-from repro.store.cursor import Cursor, VectorCursor, cursor_to_wire
+from repro.store.cursor import VectorCursor, cursor_to_wire
 from repro.store.store import ProvenanceStore
 
 #: backend aux-state key the per-lane ingest counters persist under
@@ -111,7 +111,7 @@ class StartupReport:
     restored: bool
     evaluated: int
     traces: int
-    last_seq: object
+    last_seq: VectorCursor
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class SyncOutcome:
     new_rows: int
     correlated: int
     refreshed: int
-    last_seq: object
+    last_seq: VectorCursor
 
     def as_dict(self) -> Dict:
         return {
@@ -394,21 +394,20 @@ class ComplianceRuntime:
             last_seq=self._lane_cursor(),
         )
 
-    def _lane_cursor(self) -> Cursor:
+    def _lane_cursor(self) -> VectorCursor:
         """The change-feed position every lane's store has reached.
 
         Lane rows are committed before the global handle folds them, so
         the lanes' own cursors, not the global one, cover every ingest
         reply's batch.  Reading them runs no SQL and needs no lock (each
-        is one attribute read); the shape follows the store's: an int
-        unsharded, a vector over shards.
+        is one attribute read).  A lane's store is its one shard, so its
+        cursor has one component: the shard's component of the vector.
         """
-        seqs = [lane.store.last_seq() for lane in self._lanes]
-        if not seqs:  # not opened yet: no lane has written anything
+        if not self._lanes:  # not opened yet: no lane has written anything
             return self.store.last_seq()
-        if isinstance(self.store.last_seq(), VectorCursor):
-            return VectorCursor(seqs)
-        return seqs[0]
+        return VectorCursor(
+            [lane.store.last_seq().seqs[0] for lane in self._lanes]
+        )
 
     def _fold_lanes_locked(self) -> int:
         """Fold every lane (sync + correlate + commit); global lock held.

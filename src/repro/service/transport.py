@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.capture.events import ApplicationEvent, event_to_wire
 from repro.errors import ServiceError
-from repro.store.cursor import Cursor, cursor_from_wire, cursor_to_wire
+from repro.store.cursor import VectorCursor, cursor_from_wire, cursor_to_wire
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.service.runtime import ComplianceRuntime
@@ -58,7 +58,7 @@ class IngestReply:
     dropped_unmapped: int = 0
     correlated: int = 0
     dispositions: List[Tuple[bool, str]] = field(default_factory=list)
-    last_seq: Cursor = 0
+    last_seq: VectorCursor = VectorCursor(())
 
     def as_dict(self) -> Dict:
         return {
@@ -86,7 +86,7 @@ class IngestReply:
                 (bool(entry["recorded"]), str(entry.get("reason", "")))
                 for entry in payload.get("dispositions", ())
             ],
-            last_seq=cursor_from_wire(payload.get("last_seq", 0)),
+            last_seq=cursor_from_wire(payload.get("last_seq", ())),
         )
 
 

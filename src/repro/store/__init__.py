@@ -34,7 +34,6 @@ from repro.store.cursor import (
     cursor_covers,
     cursor_from_wire,
     cursor_to_wire,
-    cursor_total,
 )
 from repro.store.store import ProvenanceStore
 from repro.store.query import AttributePredicate, RecordQuery, xpath_lite
@@ -53,7 +52,6 @@ __all__ = [
     "cursor_covers",
     "cursor_from_wire",
     "cursor_to_wire",
-    "cursor_total",
     "decode_row",
     "encode_row",
     "xpath_lite",

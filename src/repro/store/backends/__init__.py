@@ -10,8 +10,9 @@ implementations ship:
   table (WAL, batched transactions, LRU-cached lazy decoding); durable
   across runs via ``--db``.
 - :class:`~repro.store.backends.sharded.ShardedBackend` — a composite
-  that routes rows to N child backends by stable APPID hash and merges
-  their change feeds under a vector cursor (``--shards N``).
+  that routes rows to N >= 1 child backends by stable APPID hash and
+  merges their change feeds under a vector cursor (``--shards N``).
+  Every store holds one: a plain backend is wrapped as its one shard.
 
 :func:`create_backend` is the name registry used by CLI flags and
 :class:`~repro.processes.workload.Workload` parameters; register new

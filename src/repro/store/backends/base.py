@@ -2,11 +2,15 @@
 
 Table I is literally a relational table — ``(ID, CLASS, APPID, XML)`` — so
 the physical home of those rows should be swappable: an in-memory list for
-tests and small runs, SQLite for durable single-node deployments, and, down
-the road, sharded or client/server stores.  :class:`StorageBackend` is that
-seam.  The :class:`~repro.store.store.ProvenanceStore` stays the
-coordination layer (validation, observers, queries) and delegates row
-custody to a backend.
+tests and small runs, SQLite for durable single-node deployments.
+:class:`StorageBackend` is that seam.  The
+:class:`~repro.store.store.ProvenanceStore` stays the coordination layer
+(validation, observers, queries) and delegates row custody to a backend.
+The store always holds a
+:class:`~repro.store.backends.sharded.ShardedBackend`, which routes each
+row by APPID to one of N >= 1 plain backends; a plain backend is one
+shard, and the store wraps one given on its own as a single-shard
+composite.
 
 A backend owns exactly four things:
 
@@ -17,12 +21,14 @@ A backend owns exactly four things:
   :class:`~repro.store.query.RecordQuery` from whatever index the
   backend keeps, and :meth:`StorageBackend.app_ids` lists the traces, and
 - the **change feed**: every row carries an implicit monotonic sequence
-  number — its 1-based append position — and :meth:`changes_since`
-  replays the rows after a cursor.  Seqs are contiguous and identical
-  across backends holding the same rows, so a cursor taken against one
-  backend resumes against any replica.  On SQLite the feed is the table
-  itself (``rowid`` order), which is what lets a reopened database hand
-  incremental consumers exactly the rows they missed.
+  number — its 1-based append position, a plain ``int`` — and
+  :meth:`changes_since` replays the rows after a position.  Seqs are
+  contiguous and identical across backends holding the same rows, so a
+  position taken against one backend resumes against any replica.  On
+  SQLite the feed is the table itself (``rowid`` order), which is what
+  lets a reopened database hand incremental consumers exactly the rows
+  they missed.  The sharded composite numbers its feed with one such
+  position per shard (a :class:`~repro.store.cursor.VectorCursor`).
 
 Backends may additionally persist small named *auxiliary state* blobs
 (:meth:`save_state` / :meth:`load_state`) next to the rows — materialized
@@ -33,7 +39,8 @@ blobs for the life of the object, SQLite writes them to disk.
 Everything else — duplicate-id policy, schema validation, observer
 fan-out — is store policy and must NOT be reimplemented in a
 backend.  Backends may assume the store has already rejected duplicates
-before :meth:`StorageBackend.append_row` is called.
+before :meth:`StorageBackend.append_row` is called: a record id is
+unique within its APPID's home shard, and the store probes that shard.
 
 Row→record decoding needs the store's data model (attribute typing), so the
 store injects a decoder via :meth:`StorageBackend.set_decoder` right after
@@ -218,7 +225,7 @@ class StorageBackend(ABC):
         Default: ignore.
         """
 
-    # -- sharding ------------------------------------------------------------
+    # -- handles -------------------------------------------------------------
 
     def fork_handle(self) -> Optional["StorageBackend"]:
         """An independent handle over the same physical rows, or ``None``.
@@ -229,19 +236,6 @@ class StorageBackend(ABC):
         Backends without a forkable medium return ``None`` (the default).
         """
         return None
-
-    def shard_backends(self) -> List["StorageBackend"]:
-        """The physical partitions, in shard order.  Plain backends are
-        their own single shard."""
-        return [self]
-
-    def shard_count(self) -> int:
-        """Number of physical partitions.  Plain backends are one shard."""
-        return 1
-
-    def shard_index(self, app_id: str) -> int:
-        """The shard a row with *app_id* routes to (always 0 unsharded)."""
-        return 0
 
     # -- change feed ---------------------------------------------------------
 
@@ -254,10 +248,9 @@ class StorageBackend(ABC):
         Backends with a write buffer flush before answering so that every
         numbered row is actually replayable.
 
-        Sharded backends return a
-        :class:`~repro.store.cursor.VectorCursor` (one component per
-        shard) instead of an ``int``; both shapes flow through the same
-        call sites via the helpers in :mod:`repro.store.cursor`.
+        The sharded composite returns a
+        :class:`~repro.store.cursor.VectorCursor` of its children's
+        positions instead.
         """
         self.flush()
         return self.count()

@@ -5,22 +5,29 @@ row carries the APPID of the process execution it belongs to, and no
 control ever joins rows *across* traces.  :class:`ShardedBackend`
 exploits that by routing each row to one of N child backends with a
 stable APPID hash, while exposing the ordinary
-:class:`~repro.store.backends.base.StorageBackend` protocol to callers:
+:class:`~repro.store.backends.base.StorageBackend` protocol to callers.
+It is the store's only shape: :class:`~repro.store.store.ProvenanceStore`
+wraps any plain backend as a one-shard ``ShardedBackend``, so N >= 1 and
+every code path above the backend is the sharded one.
 
 - **Routing** is :func:`shard_index_for` — ``crc32(appid) % N`` — chosen
   over Python's ``hash()`` because it is stable across processes and
   interpreter runs, which is what lets N independent writer processes
   agree on the placement of every trace without coordination.
+- **Record ids are unique within their APPID's home shard.**  Appends
+  probe only that shard; every id scheme satisfies the rule (keyed ids
+  embed the APPID, ``evt:`` ids the event id, and ``REL``/``CTL`` ids
+  come from one store-wide ``highest_id`` seed).
 - **Iteration order** is shard-grouped: ``iter_rows`` drains shard 0,
   then shard 1, …  Within a shard (and therefore within any one trace)
   append order is preserved exactly; across shards there is no global
   order to preserve, because concurrent writers never had one.
 - **The change feed is a vector**: ``last_seq()`` returns a
   :class:`~repro.store.cursor.VectorCursor` with one component per
-  shard, and ``changes_since`` folds the per-shard tails, yielding each
-  row with the composite position *after* that row — so a consumer can
-  stop mid-stream and resume from the last cursor it saw.  Int cursors
-  from pre-sharding snapshots remain valid in the N=1 degenerate case.
+  shard (each child's own ``int`` position), and ``changes_since`` folds
+  the per-shard tails, yielding each row with the composite position
+  *after* that row — so a consumer can stop mid-stream and resume from
+  the last cursor it saw.
 - **Crash points** ``sharded.flush.shard<i>`` / ``sharded.append.shard<i>``
   let a :class:`~repro.faults.plan.FaultPlan` kill one shard mid-flush
   while the others survive; shards flush in index order, so a crash at
@@ -47,7 +54,7 @@ from repro.errors import BackendError, RecordNotFound
 from repro.faults.points import crash_point
 from repro.model.records import ProvenanceRecord
 from repro.store.backends.base import StorageBackend
-from repro.store.cursor import Cursor, VectorCursor, coerce_cursor
+from repro.store.cursor import VectorCursor
 from repro.store.locks import FileLock
 from repro.store.query import RecordQuery
 from repro.store.xmlcodec import StoredRow
@@ -63,7 +70,8 @@ def shard_index_for(app_id: str, shard_count: int) -> int:
 
 
 def sqlite_shard_path(path: str, index: int) -> str:
-    """The database file of shard *index* for base path *path*."""
+    """The database file of shard *index* of a multi-shard store at
+    *path* (a one-shard store is the file at *path* itself)."""
     return "%s.shard-%02d" % (path, index)
 
 
@@ -102,9 +110,11 @@ class ShardedBackend(StorageBackend):
     ) -> "ShardedBackend":
         """Sharded SQLite: shard *i* lives at ``<path>.shard-0i``.
 
-        Each shard gets its own database file and (when *use_locks*) a
-        sibling ``.lock`` file guarding its flush transactions, so N
-        writer processes appending to disjoint shards never contend.
+        A single shard is the file at *path* itself, so a store written
+        before sharding opens in place.  Each shard gets its own
+        database file and (when *use_locks*) a sibling ``.lock`` file
+        guarding its flush transactions, so N writer processes appending
+        to disjoint shards never contend.
         """
         from repro.store.backends.sqlite import SQLiteBackend
 
@@ -112,7 +122,9 @@ class ShardedBackend(StorageBackend):
             raise BackendError("sharded backend needs shards >= 1")
         children = []
         for i in range(shards):
-            shard_path = sqlite_shard_path(path, i)
+            shard_path = (
+                path if shards == 1 else sqlite_shard_path(path, i)
+            )
             lock = FileLock(shard_path + ".lock") if use_locks else None
             children.append(
                 SQLiteBackend(shard_path, write_lock=lock, **options)
@@ -274,13 +286,14 @@ class ShardedBackend(StorageBackend):
         )
 
     def changes_since(
-        self, seq: Cursor
+        self, seq: VectorCursor
     ) -> Iterator[Tuple[VectorCursor, StoredRow]]:
-        try:
-            start = coerce_cursor(seq, len(self._children))
-        except ValueError as exc:
-            raise BackendError(str(exc)) from None
-        positions = list(start.seqs)
+        if len(seq) != len(self._children):
+            raise BackendError(
+                "cursor %s has %d components; backend has %d shards"
+                % (seq, len(seq), len(self._children))
+            )
+        positions = list(seq.seqs)
         for i, child in enumerate(self._children):
             for position, row in child.changes_since(positions[i]):
                 positions[i] = position

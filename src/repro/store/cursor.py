@@ -1,33 +1,31 @@
-"""Change-feed cursors: plain ints for single backends, vectors for shards.
+"""Change-feed cursors: one position per shard.
 
-A cursor names a position in a backend's change feed.  Single backends
-use a bare ``int`` (the 1-based sequence of the last consumed row);
-:class:`~repro.store.backends.sharded.ShardedBackend` uses a
-:class:`VectorCursor` holding one such sequence per shard, because the
-shards advance independently and there is no global total order to
-number.
+A cursor names a position in a store's change feed.  Every store is a
+:class:`~repro.store.backends.sharded.ShardedBackend` of N >= 1 shards,
+so its cursor is a :class:`VectorCursor` holding one 1-based sequence
+per shard: the shards advance independently and there is no global
+total order to number.  A child backend's own position is a plain
+``int`` (its component of the vector).
 
-The two representations interoperate through the helpers in this module
-so that pre-sharding snapshots (``int`` cursors) restore cleanly under
-the composite code path: an ``int`` compares against a vector only when
-the vector has one component (the N=1 degenerate case) or when one side
-is at position zero.  Any other cross-shape comparison is *incompatible*
-and :func:`cursor_covers` answers ``False`` — callers treat that as a
-stale snapshot and re-materialize cold, which is always safe.
+Snapshots and wire replies written before every store was sharded carry
+a bare ``int``.  They are coerced once, where they are read back
+(:func:`coerce_cursor`, :func:`cursor_from_wire`); everywhere else a
+cursor is a vector.  A cursor from a different shard layout does not
+coerce, and callers treat that as a stale snapshot and re-materialize
+cold, which is always safe.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Sequence
 
 
 class VectorCursor:
     """An immutable per-shard position vector.
 
     ``seqs[i]`` is the last consumed 1-based sequence in shard ``i``.
-    Vectors order by componentwise comparison (a partial order); use
-    :func:`cursor_covers` rather than ``<=`` when one side may be an
-    ``int`` from a pre-sharding snapshot.
+    Vectors order by componentwise comparison (a partial order); vectors
+    of different lengths are incomparable.
     """
 
     __slots__ = ("seqs",)
@@ -54,23 +52,9 @@ class VectorCursor:
     def __eq__(self, other) -> bool:
         if isinstance(other, VectorCursor):
             return self.seqs == other.seqs
-        if isinstance(other, int):
-            # An int is comparable as the N=1 degenerate vector, or as
-            # zero (the empty position) against any all-zero vector.
-            if len(self.seqs) == 1:
-                return self.seqs[0] == other
-            return other == 0 and not any(self.seqs)
         return NotImplemented
 
-    def __ne__(self, other) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
     def __hash__(self) -> int:
-        if len(self.seqs) == 1:
-            return hash(self.seqs[0])  # match the degenerate int
         return hash(self.seqs)
 
     def __le__(self, other) -> bool:
@@ -86,94 +70,59 @@ class VectorCursor:
         return "|".join(str(s) for s in self.seqs)
 
 
-Cursor = Union[int, VectorCursor]
-
-
-def cursor_total(cursor: Cursor) -> int:
-    """Total rows consumed at ``cursor`` (sum over shards)."""
-    if isinstance(cursor, VectorCursor):
-        return cursor.total()
-    return int(cursor)
-
-
-def cursor_covers(a: Cursor, b: Cursor) -> bool:
+def cursor_covers(a: VectorCursor, b: VectorCursor) -> bool:
     """True when position ``a`` has consumed every row that ``b`` has.
 
-    Componentwise ``>=`` for same-shape vectors.  An ``int`` and a
-    vector are comparable only in the degenerate cases (one component,
-    or a zero side); incompatible shapes — a snapshot taken under a
-    different shard count — answer ``False`` so callers fall back to a
-    cold rebuild instead of replaying a feed that no longer lines up.
+    Componentwise ``>=``.  Vectors of different lengths come from
+    different shard layouts and answer ``False``, so callers fall back
+    to a cold rebuild instead of replaying a feed that no longer lines
+    up.
     """
-    a_vec = isinstance(a, VectorCursor)
-    b_vec = isinstance(b, VectorCursor)
-    if a_vec and b_vec:
-        if len(a.seqs) != len(b.seqs):
-            return False
-        return all(x >= y for x, y in zip(a.seqs, b.seqs))
-    if not a_vec and not b_vec:
-        return int(a) >= int(b)
-    # Mixed shapes: normalize the int side where that is unambiguous.
-    if a_vec:
-        if len(a.seqs) == 1:
-            return a.seqs[0] >= int(b)
-        return int(b) == 0  # any position covers the empty one
-    if len(b.seqs) == 1:
-        return int(a) >= b.seqs[0]
-    return not any(b.seqs)  # any valid position covers the empty one
+    if len(a.seqs) != len(b.seqs):
+        return False
+    return all(x >= y for x, y in zip(a.seqs, b.seqs))
 
 
-def advance_cursor(cursor: Cursor, shard: int) -> Cursor:
-    """Advance ``cursor`` by one row in shard ``shard``.
+def coerce_cursor(cursor, shard_count: int) -> VectorCursor:
+    """A stored cursor as a vector of length ``shard_count``.
 
-    Int cursors stay ints (they only ever describe shard 0).
+    The restore boundary: accepts a vector (or its wire list) of matching
+    length, and a pre-sharding ``int`` — zero for any shard count, any
+    value for a single shard.  Anything else is a cursor from a different
+    sharding layout and raises ``ValueError``.
     """
-    if isinstance(cursor, VectorCursor):
-        return cursor.advance(shard)
-    if shard != 0:
-        raise ValueError(
-            "int cursor cannot advance shard %d; expected a VectorCursor"
-            % shard
-        )
-    return int(cursor) + 1
-
-
-def coerce_cursor(cursor: Cursor, shard_count: int) -> "VectorCursor":
-    """Normalize ``cursor`` to a vector of length ``shard_count``.
-
-    Accepts the zero int (empty position) for any shard count, any int
-    for a single shard, and a matching-length vector.  Anything else is
-    a cursor from a different sharding layout and raises ``ValueError``.
-    """
-    if isinstance(cursor, VectorCursor):
-        if len(cursor.seqs) == shard_count:
-            return cursor
-        if not any(cursor.seqs):
+    if isinstance(cursor, int):
+        if cursor == 0:
             return VectorCursor([0] * shard_count)
+        if shard_count == 1:
+            return VectorCursor([cursor])
+        raise ValueError(
+            "int cursor %d is ambiguous for a %d-shard backend"
+            % (cursor, shard_count)
+        )
+    vector = (
+        cursor if isinstance(cursor, VectorCursor) else VectorCursor(cursor)
+    )
+    if len(vector) != shard_count:
         raise ValueError(
             "cursor %s has %d components; backend has %d shards"
-            % (cursor, len(cursor.seqs), shard_count)
+            % (vector, len(vector), shard_count)
         )
-    value = int(cursor)
-    if value == 0:
-        return VectorCursor([0] * shard_count)
-    if shard_count == 1:
+    return vector
+
+
+def cursor_to_wire(cursor: VectorCursor) -> List[int]:
+    """JSON-serializable form: the list of per-shard sequences."""
+    return list(cursor.seqs)
+
+
+def cursor_from_wire(value) -> VectorCursor:
+    """Inverse of :func:`cursor_to_wire` (also accepts tuples).
+
+    A bare ``int`` is a reply from a server that predates sharded
+    stores, whose one store was one shard: it reads as that shard's
+    position.
+    """
+    if isinstance(value, int):
         return VectorCursor([value])
-    raise ValueError(
-        "int cursor %d is ambiguous for a %d-shard backend"
-        % (value, shard_count)
-    )
-
-
-def cursor_to_wire(cursor: Cursor) -> Union[int, List[int]]:
-    """JSON-serializable form: int stays int, vector becomes a list."""
-    if isinstance(cursor, VectorCursor):
-        return list(cursor.seqs)
-    return int(cursor)
-
-
-def cursor_from_wire(value) -> Cursor:
-    """Inverse of :func:`cursor_to_wire` (also accepts tuples)."""
-    if isinstance(value, (list, tuple)):
-        return VectorCursor(value)
-    return int(value)
+    return VectorCursor(value)

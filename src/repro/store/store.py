@@ -11,6 +11,10 @@ store is the *coordination layer* over a pluggable storage backend
 - the store enforces append policy (duplicate-id rejection, optional model
   validation) and notifies registered observers (frame caches, verdict
   materializers, deployments) on every append,
+- the backend is always a
+  :class:`~repro.store.backends.sharded.ShardedBackend` of N >= 1 shards
+  (a plain backend is wrapped as one shard), and a record id is unique
+  within its APPID's home shard: an append probes that shard once,
 - finding a trace's rows is the backend's job: :meth:`select` hands each
   :class:`~repro.store.query.RecordQuery` to the backend's
   ``query_records`` (SQL push-down on SQLite, a per-APPID record list in
@@ -27,8 +31,10 @@ reports the newest one this store has seen, :meth:`changes_since` replays
 decoded records after a cursor, and :meth:`sync` folds in rows another
 handle wrote to the same backend out-of-band — firing observers exactly as
 if the records had been appended here.  Incremental consumers (the verdict
-materializer, deployed controls, ``watch``) are all views over this one
-feed.
+materializer, deployed controls, the served runtime's background loop)
+are all views over this one feed.  Positions in it are
+:class:`~repro.store.cursor.VectorCursor` values, one sequence per
+shard.
 """
 
 from __future__ import annotations
@@ -57,9 +63,13 @@ from repro.model.records import (
     RelationRecord,
 )
 from repro.model.schema import ProvenanceDataModel
-from repro.store.backends import StorageBackend, create_backend
+from repro.store.backends import (
+    ShardedBackend,
+    StorageBackend,
+    create_backend,
+)
 from repro.store.columnar import ColumnarCodec
-from repro.store.cursor import Cursor, advance_cursor
+from repro.store.cursor import VectorCursor
 from repro.store.query import RecordQuery
 from repro.store.xmlcodec import StoredRow, XmlCodec, decode_row, encode_row
 
@@ -76,7 +86,9 @@ class ProvenanceStore:
         backend: where the physical rows live — a
             :class:`~repro.store.backends.base.StorageBackend` instance, a
             registry name (``"memory"``, ``"sqlite"``), or ``None`` for the
-            in-memory default.
+            in-memory default.  Anything but a
+            :class:`~repro.store.backends.sharded.ShardedBackend` is
+            wrapped as its single shard.
         fast_codec: use the compiled per-(CLASS, record-type) XML codecs
             (:class:`~repro.store.xmlcodec.XmlCodec`) for row encode/decode.
             Byte-identical to the ElementTree path; disable only to measure
@@ -97,7 +109,9 @@ class ProvenanceStore:
             backend = create_backend("memory")
         elif isinstance(backend, str):
             backend = create_backend(backend)
-        self._backend: StorageBackend = backend
+        if not isinstance(backend, ShardedBackend):
+            backend = ShardedBackend([backend])
+        self._backend: ShardedBackend = backend
         self._backend.set_decoder(self._decode)
         # Columnar sidecar: only worthwhile when the backend persists it,
         # and only sound when the canonical (fast) encoder produced the
@@ -110,8 +124,8 @@ class ProvenanceStore:
         self._seen_seq = self._backend.last_seq()
 
     @property
-    def backend(self) -> StorageBackend:
-        """The storage backend holding the physical rows."""
+    def backend(self) -> ShardedBackend:
+        """The sharded backend holding the physical rows."""
         return self._backend
 
     @property
@@ -134,11 +148,13 @@ class ProvenanceStore:
     def append(self, record: ProvenanceRecord) -> StoredRow:
         """Append one record; returns its physical row.
 
-        Raises :class:`DuplicateRecordId` on id reuse and, when a model is
-        attached, :class:`~repro.errors.SchemaViolation` on nonconforming
-        records.  Observers run after the row commits.
+        Raises :class:`DuplicateRecordId` when the record's home shard
+        already holds its id and, when a model is attached,
+        :class:`~repro.errors.SchemaViolation` on nonconforming records.
+        Observers run after the row commits.
         """
-        if self._backend.contains(record.record_id):
+        home = self._backend.shard_index(record.app_id)
+        if self._backend.shard(home).contains(record.record_id):
             raise DuplicateRecordId(record.record_id)
         if self.model is not None:
             self.model.validate(record)
@@ -148,22 +164,22 @@ class ProvenanceStore:
             if self.columnar is not None
             else None
         )
-        self._commit(row, record, cols)
+        self._commit(home, row, record, cols)
         return row
 
     def _commit(
         self,
+        home: int,
         row: StoredRow,
         record: ProvenanceRecord,
         cols: Optional[str] = None,
     ) -> None:
-        """Persist an already-validated (row, record) pair and fan out."""
+        """Persist an already-validated (row, record) pair routed to shard
+        *home*, and fan out."""
         crash_point("store.append.before_commit")
         self._backend.append_row(row, record, cols)
         crash_point("store.append.after_commit_before_index")
-        self._seen_seq = advance_cursor(
-            self._seen_seq, self._backend.shard_index(record.app_id)
-        )
+        self._seen_seq = self._seen_seq.advance(home)
         for observer in self._observers:
             observer(record)
 
@@ -201,25 +217,24 @@ class ProvenanceStore:
     # -- sharding ------------------------------------------------------------
 
     def shard_count(self) -> int:
-        """Number of physical partitions in the backend (1 unsharded)."""
+        """Number of physical partitions in the backend (N >= 1)."""
         return self._backend.shard_count()
 
     def shard_index(self, app_id: str) -> int:
-        """The shard a trace's rows route to (0 unsharded)."""
+        """The shard a trace's rows route to."""
         return self._backend.shard_index(app_id)
 
     # -- change feed --------------------------------------------------------
 
-    def last_seq(self) -> Cursor:
+    def last_seq(self) -> VectorCursor:
         """Position of the newest record this store has committed or
-        synced; 0 for an empty store.  Plain backends use 1-based int
-        append positions; sharded backends a per-shard
-        :class:`~repro.store.cursor.VectorCursor`."""
+        synced: one 1-based append position per shard, all zero for an
+        empty store."""
         return self._seen_seq
 
     def changes_since(
-        self, seq: Cursor
-    ) -> Iterator[Tuple[Cursor, ProvenanceRecord]]:
+        self, seq: VectorCursor
+    ) -> Iterator[Tuple[VectorCursor, ProvenanceRecord]]:
         """Decoded records appended after *seq*, as ``(seq, record)`` pairs.
 
         This is the replay face of the feed: a consumer that remembers the
@@ -250,13 +265,13 @@ class ProvenanceStore:
         The local handle is flushed first so its own pending rows get
         their seqs before foreign rows are numbered after them; callers
         interleaving unflushed local writes with foreign appends on one
-        file should flush at the handoff points.  On sharded backends the
-        delta folds every shard's tail, shard by shard.
+        file should flush at the handoff points.  The delta folds every
+        shard's tail, shard by shard.
         """
         self._backend.flush()
-        # Cheap short-circuit for poll loops (``watch``): comparing the
-        # backend tip against our cursor costs one MAX(rowid) per shard —
-        # no tail scan, no row decoding.
+        # Cheap short-circuit for the background loop's ticks: comparing
+        # the backend tip against our cursor costs one MAX(rowid) per
+        # shard — no tail scan, no row decoding.
         if self._backend.last_seq() == self._seen_seq:
             return 0
         # Snapshot the delta and advance the cursor past it *before* firing
@@ -508,7 +523,8 @@ class ProvenanceStore:
         stored bytes are *row*'s exactly — not a re-encoding — so replicas
         and reloaded dumps stay byte-identical to their source.
         """
-        if self._backend.contains(row.record_id):
+        home = self._backend.shard_index(row.app_id)
+        if self._backend.shard(home).contains(row.record_id):
             raise DuplicateRecordId(row.record_id)
         record = self._decode(row)
         if self.model is not None:
@@ -521,5 +537,5 @@ class ProvenanceStore:
             if self.columnar is not None
             else None
         )
-        self._commit(row, record, cols)
+        self._commit(home, row, record, cols)
         return record

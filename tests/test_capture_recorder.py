@@ -9,6 +9,7 @@ from repro.capture.recorder import RecorderClient
 from repro.errors import MappingError
 from repro.model.builder import ModelBuilder
 from repro.model.records import RecordClass
+from repro.store.cursor import VectorCursor
 from repro.store.store import ProvenanceStore
 
 
@@ -189,15 +190,15 @@ class TestRecorderClient:
     def test_last_seq_checkpoints_change_feed(self, model, mapping):
         store = ProvenanceStore(model=model)
         recorder = RecorderClient(store, mapping)
-        assert recorder.stats.last_seq == 0
+        assert recorder.stats.last_seq == VectorCursor([0])
         recorder.process(submitted_event(reqid="R1", event_id="E1"))
-        assert recorder.stats.last_seq == store.last_seq() == 1
+        assert recorder.stats.last_seq == store.last_seq() == VectorCursor([1])
         # Dropped events don't advance the checkpoint.
         recorder.process(
             ApplicationEvent("E9", EventSource.EMAIL, "mail.sent")
         )
-        assert recorder.stats.last_seq == 1
+        assert recorder.stats.last_seq == VectorCursor([1])
         recorder.process(submitted_event(reqid="R2", event_id="E2"))
-        assert recorder.stats.as_dict()["last_seq"] == 2
+        assert recorder.stats.as_dict()["last_seq"] == [2]
         # The checkpoint is a valid changes_since cursor.
         assert list(store.changes_since(recorder.stats.last_seq)) == []

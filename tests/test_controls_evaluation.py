@@ -159,6 +159,33 @@ class TestControlBinder:
         violated = binder.bound_results("App02")[0]
         assert violated.get("status") == "violated"
 
+    def test_fresh_binder_continues_stored_ids_without_probing(
+        self, store, tool, hiring_xom, hiring_vocabulary, monkeypatch
+    ):
+        evaluator = ComplianceEvaluator(store, hiring_xom, hiring_vocabulary)
+        results = evaluator.check_all_traces(tool.control("gm-approval"))
+        first = ControlBinder(store)
+        for result in results[:2]:
+            first.bind(result)
+        edges = sum(
+            1 for r in store.records() if r.entity_type.startswith("checks")
+        )
+        probes = []
+        child = store.backend.shard(0)
+        original = child.contains
+        monkeypatch.setattr(
+            child, "contains",
+            lambda record_id: probes.append(record_id) or original(record_id),
+        )
+        # A fresh binder over a store already holding CTL rows seeds from
+        # the stored ids: one aggregate per prefix, no id probed.
+        fresh = ControlBinder(store)
+        assert fresh.ids.next("CTL") == "CTL3"
+        assert fresh.ids.next("CTLE") == f"CTLE{edges + 1}"
+        assert probes == []
+        node = ControlBinder(store).bind(results[2])
+        assert node.record_id == "CTL3"
+
 
 class TestControlDeployment:
     def test_deploy_checks_existing_traces(

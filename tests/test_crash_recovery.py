@@ -213,7 +213,7 @@ class TestSnapshotDurability:
         materializer.save()
         key = materializer._state_key()
         snapshot = json.loads(store.load_state(key))
-        snapshot["cursor"] = store.last_seq() + 10
+        snapshot["cursor"] = [seq + 10 for seq in store.last_seq().seqs]
         store.save_state(key, json.dumps(snapshot))
 
         fresh = ComplianceEvaluator(store, sim.xom, sim.vocabulary)

@@ -26,7 +26,7 @@ from repro.controls.evaluator import ComplianceEvaluator
 from repro.controls.status import ComplianceStatus
 from repro.service import ComplianceRuntime
 from repro.store.backends import SQLiteBackend
-from repro.store.cursor import cursor_total
+from repro.store.cursor import VectorCursor
 from repro.store.store import ProvenanceStore
 
 from tests.conftest import derive_rng
@@ -91,21 +91,22 @@ class TestChangeFeed:
         store.close()
 
     def test_last_seq_counts_appends(self, store):
-        # Cursor-generic: plain backends return ints, sharded backends a
-        # per-shard vector — ``cursor_total`` counts rows behind either.
-        assert cursor_total(store.last_seq()) == 0
+        # Every store's cursor is a per-shard vector; its total counts
+        # the rows behind it.
+        assert store.last_seq().total() == 0
         store.extend(sample_records("App01"))
-        assert cursor_total(store.last_seq()) == 3
+        assert store.last_seq().total() == 3
         store.extend(sample_records("App02"))
-        assert cursor_total(store.last_seq()) == 6
+        assert store.last_seq().total() == 6
 
     def test_changes_since_yields_contiguous_suffix(self, store):
         store.extend(sample_records("App01"))
         store.extend(sample_records("App02"))
-        everything = list(store.changes_since(0))
+        start = VectorCursor([0] * store.shard_count())
+        everything = list(store.changes_since(start))
         # Each yielded cursor is the position *after* its row, so totals
-        # climb one row at a time regardless of cursor shape.
-        assert [cursor_total(seq) for seq, __ in everything] == [
+        # climb one row at a time whatever the shard count.
+        assert [seq.total() for seq, __ in everything] == [
             1, 2, 3, 4, 5, 6
         ]
         assert [r.record_id for __, r in everything] == [
@@ -134,8 +135,10 @@ class TestChangeFeed:
         store.save_state("k", "v")
         store.close()
         reopened = ProvenanceStore(backend=SQLiteBackend(path))
-        assert reopened.last_seq() == 3
-        assert [seq for seq, __ in reopened.changes_since(1)] == [2, 3]
+        assert reopened.last_seq() == VectorCursor([3])
+        assert [
+            seq for seq, __ in reopened.changes_since(VectorCursor([1]))
+        ] == [VectorCursor([2]), VectorCursor([3])]
         assert reopened.load_state("k") == "v"
         reopened.close()
 
@@ -156,7 +159,7 @@ class TestStoreSync:
         assert seen == ["R1-App02", "D1-App02", "E1-App02"]
         assert store.app_ids() == ["App01", "App02"]
         assert "D1-App02" in store  # index caught up, not just the feed
-        assert store.last_seq() == 6
+        assert store.last_seq() == VectorCursor([6])
         assert store.sync() == 0
         store.close()
 

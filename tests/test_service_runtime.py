@@ -28,7 +28,7 @@ from repro.store.backends import (
     ShardedBackend,
     SQLiteBackend,
 )
-from repro.store.cursor import cursor_from_wire, cursor_to_wire, cursor_total
+from repro.store.cursor import cursor_from_wire, cursor_to_wire
 from repro.store.store import ProvenanceStore
 
 
@@ -818,7 +818,7 @@ class TestShardedLanes(_LaneContract):
         assert runtime.lane_count == self.SHARDS
         assert len(runtime.stats()["lanes"]) == self.SHARDS
         for lane, child in zip(runtime._lanes, backend.shard_backends()):
-            assert lane.store.backend is child
+            assert lane.store.backend.shard_backends() == [child]
             assert not lane.owns_store
         runtime.ingest(_event_stream(workload, cases=4))
         assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
@@ -1242,9 +1242,9 @@ class TestLockFreeShardReads:
                 reply = runtime.ingest(events[start:start + 5])
                 # The reply's cursor covers exactly its batch's rows:
                 # the events it recorded and the relations it correlated.
-                assert cursor_total(reply.last_seq) - cursor_total(
-                    previous
-                ) == reply.recorded + reply.correlated
+                assert reply.last_seq.total() - previous.total() == (
+                    reply.recorded + reply.correlated
+                )
                 previous = reply.last_seq
         finally:
             stop.set()

@@ -5,11 +5,13 @@ backend) is pinned by the conformance suites; this module tests what is
 new about sharding itself:
 
 - deterministic trace→shard routing, stable across processes,
-- vector-cursor algebra, including the N=1 degenerate case that keeps
-  pre-sharding ``int`` cursors (and the snapshots carrying them) valid,
+- vector-cursor algebra, and the restore boundary where a pre-sharding
+  ``int`` cursor (in a snapshot or a wire reply) is coerced once,
 - the composite change feed's mid-stream resumability,
-- snapshot compatibility: a verdict snapshot written by a plain SQLite
-  store restores under a single-shard composite over the same file,
+- the uniqueness rule: an append probes only its record's home shard,
+  once, offline and served alike,
+- snapshot compatibility: a verdict snapshot written before every store
+  was sharded restores into the one-shard store over the same file,
 - a multi-writer smoke: two handles appending to disjoint shards of the
   same on-disk layout, folded together by a reader whose incremental
   verdicts match a cold unsharded sweep,
@@ -17,12 +19,15 @@ new about sharding itself:
 """
 
 import io
+import json
+import os
+import sqlite3
 
 import pytest
 
 from repro.controls.authoring import ControlAuthoringTool
 from repro.controls.evaluator import ComplianceEvaluator
-from repro.errors import BackendError
+from repro.errors import BackendError, DuplicateRecordId
 from repro.store.backends import (
     MemoryBackend,
     ShardedBackend,
@@ -31,12 +36,10 @@ from repro.store.backends import (
 from repro.store.backends.sharded import shard_index_for, sqlite_shard_path
 from repro.store.cursor import (
     VectorCursor,
-    advance_cursor,
     coerce_cursor,
     cursor_covers,
     cursor_from_wire,
     cursor_to_wire,
-    cursor_total,
 )
 from repro.store.locks import FileLock, NullLock
 from repro.store.store import ProvenanceStore
@@ -112,42 +115,39 @@ class TestRouting:
 class TestVectorCursor:
     def test_totals_and_distance(self):
         cursor = VectorCursor((3, 0, 5))
-        assert cursor_total(cursor) == 8
-        assert cursor_total(8) == 8
-
-    def test_degenerate_single_shard_equals_int(self):
-        assert VectorCursor((7,)) == 7
-        assert 7 == VectorCursor((7,))
-        assert hash(VectorCursor((7,))) == hash(7)
-        assert VectorCursor((0, 0)) == 0
-        assert VectorCursor((1, 2)) != 3
+        assert cursor.total() == 8
+        assert VectorCursor((8,)).total() == 8
 
     def test_covers_componentwise(self):
         high = VectorCursor((3, 4))
         low = VectorCursor((3, 2))
         assert cursor_covers(high, low)
         assert not cursor_covers(low, high)
-        # Incomparable shapes never cover (except the empty int 0).
-        assert cursor_covers(high, 0)
-        assert not cursor_covers(high, 5)
-        assert cursor_covers(VectorCursor((5,)), 4)
-        assert not cursor_covers(3, VectorCursor((1, 1)))
-        assert cursor_covers(0, VectorCursor((0, 0)))
+        assert high >= low and low <= high
+        # Different shard layouts never cover each other, not even at
+        # the empty position.
+        assert not cursor_covers(high, VectorCursor((0,)))
+        assert not cursor_covers(VectorCursor((0, 0)), VectorCursor((0,)))
+        # A vector never equals a bare int: ints are coerced first.
+        assert VectorCursor((7,)) != 7
 
     def test_advance_and_coerce(self):
-        assert advance_cursor(3, 0) == 4
-        with pytest.raises(ValueError):
-            advance_cursor(3, 1)  # int cursors only know shard 0
-        stepped = advance_cursor(VectorCursor((1, 1)), 1)
+        stepped = VectorCursor((1, 1)).advance(1)
         assert stepped == VectorCursor((1, 2))
+        # The restore boundary: pre-sharding int cursors and wire lists.
         assert coerce_cursor(0, 3) == VectorCursor((0, 0, 0))
         assert coerce_cursor(5, 1) == VectorCursor((5,))
+        assert coerce_cursor([2, 3], 2) == VectorCursor((2, 3))
         with pytest.raises(ValueError):
             coerce_cursor(5, 2)  # non-zero int is ambiguous across shards
+        with pytest.raises(ValueError):
+            coerce_cursor([0, 0], 3)  # another shard layout
 
     def test_wire_roundtrip(self):
-        assert cursor_to_wire(6) == 6
-        assert cursor_from_wire(6) == 6
+        assert cursor_to_wire(VectorCursor((6,))) == [6]
+        # A bare int is a reply from a server that predates sharding:
+        # its one store was one shard.
+        assert cursor_from_wire(6) == VectorCursor((6,))
         vector = VectorCursor((2, 0, 9))
         assert cursor_to_wire(vector) == [2, 0, 9]
         assert cursor_from_wire([2, 0, 9]) == vector
@@ -176,14 +176,14 @@ class TestCompositeFeed:
         assert cursor.seqs == tuple(
             child.count() for child in backend.shard_backends()
         )
-        assert cursor_total(cursor) == 36
+        assert cursor.total() == 36
         store.close()
 
     def test_midstream_resume_replays_exact_suffix(self):
         store = ProvenanceStore(backend=sharded_memory(3))
         for i in range(8):
             store.extend(sample_records(f"App{i:02d}"))
-        feed = list(store.changes_since(0))
+        feed = list(store.changes_since(VectorCursor((0, 0, 0))))
         assert len(feed) == 24
         for position in (0, 5, 11, 22):
             cursor, __ = feed[position]
@@ -195,8 +195,155 @@ class TestCompositeFeed:
 
 
 # ---------------------------------------------------------------------------
+# One uniqueness rule: a record id is unique within its home shard
+# ---------------------------------------------------------------------------
+
+
+class ProbeCountingMemory(MemoryBackend):
+    """A memory shard that records every id it is asked to probe."""
+
+    def __init__(self):
+        super().__init__()
+        self.probed = []
+
+    def contains(self, record_id):
+        self.probed.append(record_id)
+        return super().contains(record_id)
+
+
+def _retried_batches(workload):
+    """Hiring events in batches of five, every third batch sent twice
+    (a client retrying a batch whose reply it never saw)."""
+    from tests.test_service_runtime import _event_stream
+
+    events = _event_stream(workload, cases=10, seed=23)
+    batches = []
+    for number, start in enumerate(range(0, len(events), 5)):
+        batch = events[start:start + 5]
+        batches.append(batch)
+        if number % 3 == 2:
+            batches.append(batch)
+    return batches
+
+
+def _shard_rows(children):
+    """Per shard: the non-relation rows verbatim, the relation rows as
+    ``(type, source, target, appid)`` (served lanes number REL ids in
+    batch order, offline capture after the last event)."""
+    from repro.model.records import RecordClass
+
+    shards = []
+    for child in children:
+        rows = list(child.iter_rows())
+        shards.append((
+            [
+                (r.record_id, r.record_class, r.app_id, r.xml)
+                for r in rows
+                if r.record_class is not RecordClass.RELATION
+            ],
+            sorted(
+                (r.entity_type, r.source_id, r.target_id, r.app_id)
+                for r in child.iter_records()
+                if r.record_class is RecordClass.RELATION
+            ),
+        ))
+    return shards
+
+
+class TestUniquenessRule:
+    def test_offline_capture_probes_each_row_once_on_its_home_shard(self):
+        from repro.processes import hiring
+
+        children = [ProbeCountingMemory() for __ in range(4)]
+        sim = hiring.workload().simulate(
+            cases=20, seed=7, backend=ShardedBackend(children)
+        )
+        assert len(sim.store) > 0
+        for child in children:
+            # Recorder appends and correlation's relation appends alike:
+            # one probe per row, on the shard the row lives on.
+            assert child.probed == [
+                row.record_id for row in child.iter_rows()
+            ]
+
+    def test_offline_and_served_capture_agree_under_retries(self):
+        from repro.capture.correlation import CorrelationAnalytics
+        from repro.capture.recorder import RecorderClient
+        from repro.processes import hiring
+        from tests.test_service_runtime import _open_runtime
+
+        workload = hiring.workload()
+        batches = _retried_batches(workload)
+
+        offline_children = [ProbeCountingMemory() for __ in range(4)]
+        offline = ProvenanceStore(
+            model=workload.build_model(),
+            backend=ShardedBackend(offline_children),
+        )
+        recorder = RecorderClient(
+            offline, workload.build_mapping(offline.model)
+        )
+        for batch in batches:
+            recorder.process_all(batch)
+        analytics = CorrelationAnalytics(offline)
+        for rule in workload.correlation_rules():
+            analytics.add_rule(rule)
+        analytics.run()
+
+        served_children = [ProbeCountingMemory() for __ in range(4)]
+        __, runtime = _open_runtime(
+            workload, backend=ShardedBackend(served_children)
+        )
+        runtime.open()
+        served_duplicates = sum(
+            runtime.ingest(batch).duplicates for batch in batches
+        )
+        runtime.sync()
+        runtime.shutdown()
+
+        assert recorder.stats.duplicates > 0
+        assert served_duplicates == recorder.stats.duplicates
+        assert _shard_rows(served_children) == _shard_rows(offline_children)
+        # Each append, recorded or refused as a duplicate, made one probe.
+        for children in (offline_children, served_children):
+            rows = sum(child.count() for child in children)
+            probes = sum(len(child.probed) for child in children)
+            assert probes == rows + recorder.stats.duplicates
+
+    def test_duplicate_id_is_refused_on_its_home_shard(self):
+        store = ProvenanceStore(backend=sharded_memory(4))
+        records = sample_records("App01")
+        store.extend(records)
+        with pytest.raises(DuplicateRecordId):
+            store.append(records[1])
+        assert len(store) == 3
+
+
+# ---------------------------------------------------------------------------
 # Snapshot compatibility across the sharding boundary
 # ---------------------------------------------------------------------------
+
+
+def _forge_int_cursor(db):
+    """Rewrite the verdict snapshot in SQLite file *db* to the bare-int
+    cursor that stores wrote before every store was sharded."""
+    conn = sqlite3.connect(db)
+    try:
+        rows = conn.execute(
+            "SELECT key, payload FROM aux_state WHERE key LIKE 'verdicts:%'"
+        ).fetchall()
+        assert len(rows) == 1
+        key, payload = rows[0]
+        snapshot = json.loads(payload)
+        (seq,) = snapshot["cursor"]
+        snapshot["cursor"] = seq
+        conn.execute(
+            "UPDATE aux_state SET payload = ? WHERE key = ?",
+            (json.dumps(snapshot), key),
+        )
+        conn.commit()
+    finally:
+        conn.close()
 
 
 class TestSnapshotCompatibility:
@@ -209,9 +356,9 @@ class TestSnapshotCompatibility:
     def test_pre_sharding_snapshot_restores_under_composite(
         self, tmp_path, hiring_model, hiring_xom, hiring_vocabulary
     ):
-        """A snapshot saved with an int cursor (plain SQLite store, before
-        sharding existed) must restore cleanly through the composite-cursor
-        code path — the N=1 degenerate case."""
+        """A snapshot saved with an int cursor (a plain SQLite store,
+        before every store was sharded) must restore into the one-shard
+        store over the same file, re-evaluating nothing."""
         db = str(tmp_path / "legacy.db")
         store = ProvenanceStore(
             model=hiring_model, backend=SQLiteBackend(db)
@@ -227,9 +374,10 @@ class TestSnapshotCompatibility:
         controls = self._controls(hiring_vocabulary)
         evaluator = ComplianceEvaluator(store, hiring_xom, hiring_vocabulary)
         expected = norm(evaluator.run(controls))
-        assert isinstance(evaluator.materializer.cursor, int)
+        assert isinstance(evaluator.materializer.cursor, VectorCursor)
         evaluator.materializer.save()
         store.close()
+        _forge_int_cursor(db)
 
         # Reopen the same file as the only shard of a composite.
         sharded = ProvenanceStore(
@@ -250,6 +398,37 @@ class TestSnapshotCompatibility:
         assert norm(revaluator.run(controls)) == expected
         assert materializer.refreshes == 0
         sharded.close()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_existing_db_opens_in_place_and_restores(self, tmp_path, shards):
+        """A ``--db`` from before every store was sharded opens in place
+        (one shard is the file itself, N shards are ``.shard-NN`` files)
+        and ``check --incremental`` restores its snapshot: at one shard
+        from the bare-int cursor those stores wrote."""
+        from repro.cli import main
+
+        db = str(tmp_path / "legacy.db")
+        argv = ["check", "hiring", "--cases", "8", "--backend", "sqlite",
+                "--db", db, "--shards", str(shards), "--incremental"]
+        first = io.StringIO()
+        main(argv, out=first)
+        assert "incremental: no snapshot (cold sweep)" in first.getvalue()
+        files = (
+            [db] if shards == 1
+            else [sqlite_shard_path(db, i) for i in range(shards)]
+        )
+        assert all(os.path.exists(path) for path in files)
+        assert not os.path.exists(sqlite_shard_path(db, shards))
+        if shards == 1:
+            _forge_int_cursor(db)
+        second = io.StringIO()
+        main(argv, out=second)
+        assert "incremental: snapshot restored; 0 of" in second.getvalue()
+        # Below the banner the dashboard is the cold run's.
+        assert (
+            second.getvalue().split("\n", 1)[1]
+            == first.getvalue().split("\n", 1)[1]
+        )
 
     def test_layout_change_forces_cold_rematerialization(
         self, tmp_path, hiring_model, hiring_xom, hiring_vocabulary
