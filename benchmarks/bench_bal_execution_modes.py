@@ -7,9 +7,15 @@ hiring workload for the sweep mechanisms stacked in
 :class:`~repro.controls.evaluator.ComplianceEvaluator`:
 
 - **interpret, rebuilt contexts** — the pre-compilation baseline: AST
-  interpretation, every sweep rebuilds every trace graph,
+  interpretation, every sweep rebuilds every trace graph
+  (``clear_context_cache()`` before each sweep),
 - **interpret, shared contexts** — per-trace frames cached across sweeps,
 - **compiled, shared contexts** — closure-codegen rule execution on top.
+
+Each sweep is :func:`warm_sweep`: it evaluates every pair through the
+evaluator's public primitives and never reads the verdict table, since
+verdict memoization (which makes warm re-sweeps near-free) is measured
+separately in bench_incremental_vs_sweep.
 
 Every mode must produce identical compliance rows — the sweep mechanisms
 change cost, never semantics — and the compiled+shared steady state must
@@ -35,10 +41,11 @@ SWEEPS = 5
 # guards the sign of the comparison (noise swamps ratios at 30 traces).
 MIN_SPEEDUP = 1.0 if TINY else 2.0
 
+# (label, execution mode, rebuild every frame before each sweep)
 MODES = (
-    ("interpret, rebuilt contexts", "interpret", False),
-    ("interpret, shared contexts", "interpret", True),
-    ("compiled, shared contexts", "compiled", True),
+    ("interpret, rebuilt contexts", "interpret", True),
+    ("interpret, shared contexts", "interpret", False),
+    ("compiled, shared contexts", "compiled", False),
 )
 
 
@@ -57,23 +64,31 @@ def _normalize(results):
     ]
 
 
-def _sweep_times(sim, execution_mode, share_contexts):
-    # incremental=False: this bench prices the *evaluation* mechanisms, so
-    # every sweep must actually re-evaluate every pair.  Verdict
-    # memoization (which would make warm re-sweeps near-free) is measured
-    # separately in bench_incremental_vs_sweep.
+def warm_sweep(evaluator, controls):
+    """Every (trace, control) pair evaluated, none read from the verdict
+    table: frames are built from one scan where missing, then reused."""
+    ids = evaluator.store.app_ids()
+    evaluator.prime_frames(ids, controls)
+    return [
+        evaluator.evaluate_pair(control, trace_id)
+        for trace_id in ids
+        for control in controls
+    ]
+
+
+def _sweep_times(sim, execution_mode, rebuild):
     evaluator = ComplianceEvaluator(
         sim.store, sim.xom, sim.vocabulary,
         observable_types=sim.observable_types,
         execution_mode=execution_mode,
-        share_contexts=share_contexts,
-        incremental=False,
     )
     times = []
     results = None
     for __ in range(SWEEPS):
         start = time.perf_counter()
-        results = evaluator.run(sim.controls)
+        if rebuild:
+            evaluator.clear_context_cache()
+        results = warm_sweep(evaluator, sim.controls)
         times.append(time.perf_counter() - start)
     return times, results
 
@@ -87,8 +102,8 @@ def test_bal_execution_modes(benchmark, artifact):
 
     measured = []
     reference = None
-    for label, execution_mode, share_contexts in MODES:
-        times, results = _sweep_times(sim, execution_mode, share_contexts)
+    for label, execution_mode, rebuild in MODES:
+        times, results = _sweep_times(sim, execution_mode, rebuild)
         normalized = _normalize(results)
         if reference is None:
             reference = normalized
@@ -144,7 +159,6 @@ def test_bal_execution_modes(benchmark, artifact):
     warm = ComplianceEvaluator(
         sim.store, sim.xom, sim.vocabulary,
         observable_types=sim.observable_types,
-        incremental=False,
     )
-    warm.run(sim.controls)
-    benchmark(lambda: warm.run(sim.controls))
+    warm_sweep(warm, sim.controls)
+    benchmark(lambda: warm_sweep(warm, sim.controls))

@@ -9,10 +9,11 @@ evaluation styles answer the same freshness question:
 - **incremental** — ``run()`` on an evaluator with the materialized table:
   only the new trace's (control, trace) pairs evaluate, everything else is
   a table read,
-- **warm sweep** — ``run()`` on an evaluator with context sharing but no
-  verdict memoization (``incremental=False``): the strongest
-  non-incremental baseline, since trace frames are cached and only the new
-  trace's frame rebuilds, yet every pair still re-evaluates.
+- **warm sweep** — :func:`warm_sweep` on a second evaluator: every pair
+  evaluated through ``prime_frames`` + ``evaluate_pair``, never read from
+  the verdict table.  The strongest non-incremental baseline, since trace
+  frames are cached and only the new trace's frame rebuilds, yet every
+  pair still re-evaluates.
 
 Both must return byte-identical rows (same normalization as the
 execution-modes bench).  At full scale the incremental re-check must be at
@@ -27,6 +28,7 @@ import dataclasses
 import os
 import time
 
+from benchmarks.bench_bal_execution_modes import warm_sweep
 from repro.controls.evaluator import ComplianceEvaluator
 from repro.model.records import RelationRecord
 from repro.processes import hiring
@@ -82,15 +84,14 @@ def test_incremental_vs_sweep(benchmark, artifact):
         sim.store, sim.xom, sim.vocabulary,
         observable_types=sim.observable_types,
     )
-    warm_sweep = ComplianceEvaluator(
+    sweeping = ComplianceEvaluator(
         sim.store, sim.xom, sim.vocabulary,
         observable_types=sim.observable_types,
-        incremental=False,
     )
     # Cold sweeps: both sides materialize their frames (and the
     # incremental side its verdict table) before measurement starts.
     incremental.run(sim.controls)
-    warm_sweep.run(sim.controls)
+    warm_sweep(sweeping, sim.controls)
 
     template_trace = sim.store.app_ids()[0]
     rows = []
@@ -108,7 +109,7 @@ def test_incremental_vs_sweep(benchmark, artifact):
         evals = incremental.materializer.refreshes - evals_before
 
         start = time.perf_counter()
-        sweep_results = warm_sweep.run(sim.controls)
+        sweep_results = warm_sweep(sweeping, sim.controls)
         sweep_sec = time.perf_counter() - start
 
         assert _normalize(incr_results) == _normalize(sweep_results), (

@@ -4,13 +4,13 @@ PR 4's tentpole made the capture ingest path cheap twice over:
 
 - **precompiled XML codecs** — the store encodes/decodes Table I rows with
   per-(CLASS, record-type) closures compiled from the data-model schema
-  instead of building an ElementTree per row (``fast_codec=False``
-  restores the ElementTree path, which stays in the tree as the
-  differential oracle),
-- **correlation planner** — ``CorrelationAnalytics`` classifies each rule
-  and runs attribute joins as hash joins and co-trace rules as type-bucket
-  products instead of the per-trace cartesian scan (``use_planner=False``
-  restores the pairwise path).
+  instead of building an ElementTree per row (:class:`ElementTreeStore`
+  below restores the ElementTree path, which stays in the tree as the
+  differential oracle and the compiled codec's fallback),
+- **correlation planner** — ``CorrelationAnalytics.run`` classifies each
+  rule and runs attribute joins as hash joins and co-trace rules as
+  type-bucket products instead of the per-trace cartesian scan
+  (``run_naive`` is the pairwise path).
 
 This bench ingests the same simulated event stream through both
 configurations and reports the record / correlate phase times, the
@@ -35,6 +35,7 @@ from repro.processes.engine import ProcessSimulator, all_events
 from repro.processes.violations import ViolationPlan
 from repro.reporting.tables import render_table
 from repro.store.store import ProvenanceStore
+from repro.store.xmlcodec import decode_row, encode_row
 
 TINY = os.environ.get("BAL_BENCH_SCALE") == "tiny"
 CASES = 50 if TINY else 800
@@ -55,17 +56,27 @@ def _events(workload, cases):
     return all_events(simulator.run(cases))
 
 
+class ElementTreeStore(ProvenanceStore):
+    """A store whose rows go through the ElementTree reference codec."""
+
+    def _decode(self, row):
+        return decode_row(row, self.model)
+
+    def _encode(self, record):
+        return encode_row(record)
+
+
 def _ingest(workload, model, events, fast):
     """One full record+correlate ingest; returns (store, times, stats)."""
-    store = ProvenanceStore(model=model, fast_codec=fast)
+    store = (ProvenanceStore if fast else ElementTreeStore)(model=model)
     started = time.perf_counter()
     RecorderClient(store, workload.build_mapping(model)).process_all(events)
     record_s = time.perf_counter() - started
-    analytics = CorrelationAnalytics(store, model, use_planner=fast)
+    analytics = CorrelationAnalytics(store, model)
     for rule in workload.correlation_rules():
         analytics.add_rule(rule)
     started = time.perf_counter()
-    analytics.run()
+    (analytics.run if fast else analytics.run_naive)()
     correlate_s = time.perf_counter() - started
     return store, record_s, correlate_s, analytics.stats
 

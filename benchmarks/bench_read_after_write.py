@@ -56,7 +56,7 @@ import time
 from typing import Callable, Dict, List
 
 from repro.controls import evaluator as evaluator_module
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.controls.evaluator import ComplianceEvaluator, reference_sweep
 from repro.controls.materializer import VerdictMaterializer
 from repro.processes import hiring
 from repro.processes.engine import ProcessSimulator, all_events
@@ -164,14 +164,13 @@ def _open(db: str, workload) -> ComplianceRuntime:
 
 
 def _cold_body(runtime: ComplianceRuntime) -> bytes:
-    oracle = ComplianceEvaluator(
-        runtime.store, runtime.evaluator.engine.xom,
-        runtime.evaluator.engine.vocabulary,
+    engine = runtime.evaluator.engine
+    rows = reference_sweep(
+        runtime.store, engine.xom, engine.vocabulary, runtime.controls,
         observable_types=runtime.evaluator.observable_types,
-        share_contexts=False,
     )
     return json.dumps(
-        {"verdicts": [r.to_payload() for r in oracle.run(runtime.controls)]}
+        {"verdicts": [r.to_payload() for r in rows]}
     ).encode("utf-8")
 
 

@@ -351,10 +351,10 @@ class CorrelationAnalytics:
         model: data model for endpoint validation (defaults to the store's).
         ids: relation id factory; defaults to :func:`relation_ids`, which
             continues the store's ``REL<n>`` sequence.
-        use_planner: execute rules via their plans (hash joins, bucket
-            products).  ``False`` forces the naive per-rule cartesian scan —
-            the planner's differential baseline; outputs are byte-identical
-            either way.
+
+    :meth:`run` executes each rule through its plan (hash joins, bucket
+    products); :meth:`run_naive` is the per-rule cartesian scan it is
+    checked against, with byte-identical output.
     """
 
     def __init__(
@@ -362,12 +362,10 @@ class CorrelationAnalytics:
         store: ProvenanceStore,
         model: Optional[ProvenanceDataModel] = None,
         ids: Optional[IdFactory] = None,
-        use_planner: bool = True,
     ) -> None:
         self.store = store
         self.model = model if model is not None else store.model
         self.ids = ids if ids is not None else relation_ids(store)
-        self.use_planner = use_planner
         self._rules: List[CorrelationRule] = []
         #: stats of the most recent :meth:`run` (None before the first run).
         self.stats: Optional[CorrelationStats] = None
@@ -398,33 +396,8 @@ class CorrelationAnalytics:
         """Run all rules over the given traces (default: all); returns the
         newly created relation records (already appended to the store)."""
         traces = list(app_ids) if app_ids is not None else self.store.app_ids()
-        stats = CorrelationStats()
-        self.stats = stats
+        stats = self.stats = CorrelationStats()
         created: List[RelationRecord] = []
-        if not self.use_planner:
-            for app_id in traces:
-                existing = _edges(
-                    self.store.select(
-                        RecordQuery(
-                            record_class=RecordClass.RELATION, app_id=app_id
-                        )
-                    )
-                )
-                for rule in self._rules:
-                    if isinstance(rule, SequenceRule):
-                        created.extend(
-                            self._run_sequence_on_trace(
-                                rule, app_id, existing, stats
-                            )
-                        )
-                    else:
-                        created.extend(
-                            self._run_rule_on_trace(
-                                rule, app_id, existing, stats
-                            )
-                        )
-            return created
-
         plans = self.plan()
         for plan in plans:
             if plan.kind == PLAN_HASH_JOIN:
@@ -458,6 +431,41 @@ class CorrelationAnalytics:
                 for relation in emitted:
                     buckets.add(relation)
                 created.extend(emitted)
+        return created
+
+    def run_naive(
+        self, app_ids: Optional[Iterable[str]] = None
+    ) -> List[RelationRecord]:
+        """:meth:`run` without plans: every rule scans every (source,
+        target) pair of each trace, one store select per rule side.
+
+        The reference path the planner is checked against: same relations,
+        same ids, same order, at cartesian cost.
+        """
+        traces = list(app_ids) if app_ids is not None else self.store.app_ids()
+        stats = self.stats = CorrelationStats()
+        created: List[RelationRecord] = []
+        for app_id in traces:
+            existing = _edges(
+                self.store.select(
+                    RecordQuery(
+                        record_class=RecordClass.RELATION, app_id=app_id
+                    )
+                )
+            )
+            for rule in self._rules:
+                if isinstance(rule, SequenceRule):
+                    created.extend(
+                        self._run_sequence_on_trace(
+                            rule, app_id, existing, stats
+                        )
+                    )
+                else:
+                    created.extend(
+                        self._run_rule_on_trace(
+                            rule, app_id, existing, stats
+                        )
+                    )
         return created
 
     # -- emission (shared by every plan) ------------------------------------

@@ -150,13 +150,12 @@ class RecorderClient:
         self.stats = RecorderStats()
         if store is not None:
             self.stats.last_seq = store.last_seq()
-        # Compile the store's per-type XML codecs up front: the first event
-        # of each record type should not pay codec generation inside the
-        # ingest loop, and every subsequent append reuses the compiled
-        # encoder instead of re-deriving schema lookups per row.
-        codec = getattr(store, "codec", None)
-        if codec is not None:
-            codec.prime()
+            # Compile the store's per-type XML codecs up front: the first
+            # event of each record type should not pay codec generation
+            # inside the ingest loop, and every subsequent append reuses
+            # the compiled encoder instead of re-deriving schema lookups
+            # per row.
+            store.codec.prime()
 
     # -- client-side stages (both modes) -------------------------------------
 

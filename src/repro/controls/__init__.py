@@ -13,6 +13,8 @@ provenance graph and evaluates per execution trace:
   control point is generated as a custom node connected to the three data
   nodes defined by the constraints", §III),
 - :mod:`repro.controls.evaluator` — evaluating controls across traces,
+  and :func:`~repro.controls.evaluator.reference_sweep`, the uncached
+  oracle the evaluator is checked against,
 - :mod:`repro.controls.materializer` — the incremental core: the
   materialized (control, trace) verdict table every evaluation style
   (sweep, on-demand check, deployed) reads through,
@@ -25,7 +27,7 @@ from repro.controls.status import ComplianceResult, ComplianceStatus
 from repro.controls.control import InternalControl
 from repro.controls.authoring import ControlAuthoringTool, ValidationIssue
 from repro.controls.binding import ControlBinder, ensure_control_schema
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.controls.evaluator import ComplianceEvaluator, reference_sweep
 from repro.controls.materializer import VerdictMaterializer, VerdictTransition
 from repro.controls.deployment import ControlDeployment
 from repro.controls.dashboard import ComplianceDashboard
@@ -52,6 +54,7 @@ __all__ = [
     "VerdictMaterializer",
     "VerdictTransition",
     "pattern_from_rule",
+    "reference_sweep",
     "ValidationIssue",
     "ensure_control_schema",
 ]

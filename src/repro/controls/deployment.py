@@ -82,7 +82,6 @@ class ControlDeployment:
         # The deployment is a view over the evaluator's materialized
         # verdict table; binder artifacts are invisible to dirty tracking.
         self.materializer = self.evaluator.materializer
-        assert self.materializer is not None
         self.materializer.ignore = _is_control_artifact
         self.materializer.subscribe(self._on_transition)
         self.binder = ControlBinder(store) if bind_results else None

@@ -27,6 +27,9 @@ Underneath, two sweep-speed mechanisms stack:
   the touched traces (:meth:`ComplianceEvaluator.prime_frames`),
 - **compiled rule execution** — the engine defaults to the closure-codegen
   back end (``execution_mode="compiled"``).
+
+:func:`reference_sweep` is the reference path both are checked against:
+it builds every frame from full records and keeps nothing between calls.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from repro.controls.control import InternalControl
 from repro.controls.materializer import VerdictMaterializer
 from repro.controls.status import ComplianceResult, ComplianceStatus
 from repro.graph.build import build_trace_graph, graph_from_records
-from repro.graph.graph import ProvenanceGraph
 from repro.model.records import ProvenanceRecord
 from repro.store.store import ProvenanceStore
 
@@ -69,9 +71,9 @@ def _check_with_frame(
 ) -> ComplianceResult:
     """One (control, trace) check against a prebuilt frame.
 
-    The single code path every evaluation mode funnels through — direct
-    and memoized checks produce rows from exactly this function, which is
-    what makes their outputs byte-identical.
+    The single code path every evaluation funnels through — direct and
+    memoized checks and :func:`reference_sweep` produce rows from exactly
+    this function, which is what makes their outputs byte-identical.
     """
     outcome = engine.evaluate(
         control.compiled,
@@ -116,20 +118,54 @@ def referenced_attributes(
     return frozenset(needed)
 
 
+def reference_sweep(
+    store: ProvenanceStore,
+    xom: ExecutableObjectModel,
+    vocabulary: Vocabulary,
+    controls: Sequence[InternalControl],
+    trace_ids: Optional[Iterable[str]] = None,
+    observable_types: Optional[Set[str]] = None,
+    execution_mode: str = "compiled",
+) -> List[ComplianceResult]:
+    """Every control over every trace, evaluated from scratch.
+
+    The oracle :class:`ComplianceEvaluator` is held to.  Each trace's
+    graph is built from its full decoded records, from one store scan,
+    with no frame cache, no attribute projection and no verdict table, so
+    a defect in any of those cannot hide on both sides of a comparison.
+    Rows come in (trace, control) order, like
+    :meth:`ComplianceEvaluator.run`.  Nothing is caught: an unreadable
+    row or an evaluation error raises.
+    """
+    engine = RuleEngine(xom, vocabulary, execution_mode=execution_mode)
+    grouped = store.records_by_trace()
+    ids = list(trace_ids) if trace_ids is not None else store.app_ids()
+    results: List[ComplianceResult] = []
+    for trace_id in ids:
+        frame = TraceFrame(
+            graph_from_records(grouped.get(trace_id, ()), name=trace_id)
+        )
+        for control in controls:
+            results.append(
+                _check_with_frame(
+                    engine, control, frame, None, observable_types
+                )
+            )
+    return results
+
+
 class ComplianceEvaluator:
     """Runs controls over trace graphs built from a provenance store.
+
+    Per-trace evaluation frames (graph + XOM wraps) are cached across
+    checks and invalidated per trace on store appends, and the
+    (control, trace) verdicts live in :attr:`materializer`, memoized
+    while their traces are clean.  :func:`reference_sweep` is the
+    uncached oracle this class is held to.
 
     Args:
         execution_mode: rule execution back end, ``"compiled"`` (default)
             or ``"interpret"`` — see :class:`~repro.brms.engine.RuleEngine`.
-        share_contexts: cache per-trace evaluation frames (graph + XOM
-            wraps) across checks, invalidating per trace on store appends.
-            Disable to reproduce rebuild-every-check behaviour (the
-            execution-modes benchmark's baseline).
-        incremental: maintain the materialized verdict table
-            (:attr:`materializer`), memoizing (control, trace) verdicts
-            while their traces are clean.  Requires ``share_contexts``;
-            disable to force every ``run``/``check_trace`` to re-evaluate.
     """
 
     def __init__(
@@ -139,15 +175,12 @@ class ComplianceEvaluator:
         vocabulary: Vocabulary,
         observable_types: Optional[Set[str]] = None,
         execution_mode: str = "compiled",
-        share_contexts: bool = True,
-        incremental: bool = True,
     ) -> None:
         self.store = store
         self.engine = RuleEngine(
             xom, vocabulary, execution_mode=execution_mode
         )
         self.observable_types = observable_types
-        self.share_contexts = share_contexts
         self._frames: Dict[str, TraceFrame] = {}
         #: trace id → the attribute projection its cached frame was built
         #: under.  Absent means the frame holds full records and serves
@@ -163,15 +196,11 @@ class ComplianceEvaluator:
         #: sweeps whose frames were built from projected records.
         self.projected_sweeps = 0
         self.graph_builds = 0  # trace graphs constructed (regression metric)
-        if share_contexts:
-            # Frame invalidation must run before the materializer's dirty
-            # marking (observers fire in subscription order), so a refresh
-            # triggered by the same append sees a fresh frame.
-            store.subscribe(self._on_store_append)
-        self.materializer: Optional[VerdictMaterializer] = (
-            VerdictMaterializer(self) if share_contexts and incremental
-            else None
-        )
+        # Frame invalidation must run before the materializer's dirty
+        # marking (observers fire in subscription order), so a refresh
+        # triggered by the same append sees a fresh frame.
+        store.subscribe(self._on_store_append)
+        self.materializer = VerdictMaterializer(self)
 
     # -- context cache -------------------------------------------------------
 
@@ -185,8 +214,21 @@ class ComplianceEvaluator:
         forcing the next sweep to rebuild and re-evaluate everything."""
         self._frames.clear()
         self._frame_projection.clear()
-        if self.materializer is not None:
-            self.materializer.invalidate_all()
+        self.materializer.invalidate_all()
+
+    def _read_set(
+        self, control: InternalControl
+    ) -> Optional[FrozenSet[str]]:
+        """*control*'s attribute read set, memoized; None = unbounded."""
+        key = id(control)
+        cached = self._control_projections.get(key)
+        if cached is None or cached[0] is not control:
+            cached = (
+                control,
+                referenced_attributes(control, self.engine.vocabulary),
+            )
+            self._control_projections[key] = cached
+        return cached[1]
 
     def _projection_for(
         self, controls: Sequence[InternalControl]
@@ -194,17 +236,10 @@ class ComplianceEvaluator:
         """Union of the controls' attribute read sets; None = unbounded."""
         needed: Set[str] = set()
         for control in controls:
-            key = id(control)
-            cached = self._control_projections.get(key)
-            if cached is None or cached[0] is not control:
-                cached = (
-                    control,
-                    referenced_attributes(control, self.engine.vocabulary),
-                )
-                self._control_projections[key] = cached
-            if cached[1] is None:
+            read = self._read_set(control)
+            if read is None:
                 return None
-            needed |= cached[1]
+            needed |= read
         return frozenset(needed)
 
     def _cached_frame(
@@ -239,51 +274,14 @@ class ComplianceEvaluator:
         whether a cached *projected* frame suffices; a frame built here
         always holds full records.
         """
-        if self.share_contexts:
-            frame = self._cached_frame(trace_id, needed)
-            if frame is not None:
-                return frame
+        frame = self._cached_frame(trace_id, needed)
+        if frame is not None:
+            return frame
         self.graph_builds += 1
         frame = TraceFrame(build_trace_graph(self.store, trace_id))
-        if self.share_contexts:
-            self._frames[trace_id] = frame
-            self._frame_projection.pop(trace_id, None)
+        self._frames[trace_id] = frame
+        self._frame_projection.pop(trace_id, None)
         return frame
-
-    def _adopt_frame(
-        self,
-        trace_id: str,
-        graph: ProvenanceGraph,
-        projection: Optional[FrozenSet[str]] = None,
-    ) -> TraceFrame:
-        """Cache a frame around a graph the sweep already built.
-
-        *projection* must be the attribute set the graph's records were
-        actually materialized under — None for full records.
-        """
-        frame = TraceFrame(graph)
-        if self.share_contexts:
-            self._frames[trace_id] = frame
-            if projection is None:
-                self._frame_projection.pop(trace_id, None)
-            else:
-                self._frame_projection[trace_id] = projection
-        return frame
-
-    def _grouped_records(
-        self, projection: Optional[FrozenSet[str]]
-    ) -> Tuple[Dict[str, List[ProvenanceRecord]], Optional[FrozenSet[str]]]:
-        """One-scan trace grouping, projected when the backend can.
-
-        Returns ``(grouped, applied)`` where *applied* is the projection
-        the records were actually materialized under (None = full).
-        """
-        if projection is not None:
-            grouped = self.store.records_by_trace_projected(projection)
-            if grouped is not None:
-                self.projected_sweeps += 1
-                return grouped, projection
-        return self.store.records_by_trace(), None
 
     def prime_frames(
         self,
@@ -324,7 +322,7 @@ class ComplianceEvaluator:
         with a projection fast path); the cached frames remember their
         projection and rebuild if a wider read set ever shows up.
         """
-        if not self.share_contexts or not self.store.indexed:
+        if not self.store.indexed:
             return
         projection = (
             self._projection_for(controls) if controls is not None else None
@@ -338,14 +336,25 @@ class ComplianceEvaluator:
             self.store.app_ids()
         ):
             return
-        grouped, applied = self._grouped_records(projection)
+        grouped = (
+            self.store.records_by_trace_projected(projection)
+            if projection is not None
+            else None
+        )
+        if grouped is None:
+            # Full records: the frames serve any control.
+            grouped, projection = self.store.records_by_trace(), None
+        else:
+            self.projected_sweeps += 1
         for trace_id in missing:
             self.graph_builds += 1
-            self._adopt_frame(
-                trace_id,
-                graph_from_records(grouped.get(trace_id, ()), name=trace_id),
-                projection=applied,
+            self._frames[trace_id] = TraceFrame(
+                graph_from_records(grouped.get(trace_id, ()), name=trace_id)
             )
+            if projection is None:
+                self._frame_projection.pop(trace_id, None)
+            else:
+                self._frame_projection[trace_id] = projection
 
     # -- raw evaluation ------------------------------------------------------
 
@@ -361,9 +370,7 @@ class ComplianceEvaluator:
         (sweeps, targeted checks, deployed re-checks) is policy about
         *when* to call it.
         """
-        frame = self._frame_for(
-            trace_id, needed=self._projection_for((control,))
-        )
+        frame = self._frame_for(trace_id, needed=self._read_set(control))
         return _check_with_frame(
             self.engine, control, frame, parameters, self.observable_types
         )
@@ -375,7 +382,6 @@ class ComplianceEvaluator:
         control: InternalControl,
         trace_id: str,
         parameters: Optional[Dict[str, object]] = None,
-        graph: Optional[ProvenanceGraph] = None,
         as_of: Optional[int] = None,
     ) -> ComplianceResult:
         """Check one control against one trace.
@@ -397,15 +403,13 @@ class ComplianceEvaluator:
             frame = TraceFrame(
                 build_trace_graph(self.store, trace_id, as_of=as_of)
             )
-        elif graph is not None:
-            frame = TraceFrame(graph)
-        elif self.materializer is not None and parameters is None:
+            return _check_with_frame(
+                self.engine, control, frame, parameters,
+                self.observable_types,
+            )
+        if parameters is None:
             return self.materializer.check(control, trace_id)
-        else:
-            return self.evaluate_pair(control, trace_id, parameters)
-        return _check_with_frame(
-            self.engine, control, frame, parameters, self.observable_types
-        )
+        return self.evaluate_pair(control, trace_id, parameters)
 
     def check_all_traces(
         self,
@@ -428,63 +432,18 @@ class ComplianceEvaluator:
         """Check every control against every trace; rows in (trace,
         control) order.
 
-        Incremental by default: the sweep drains the materialized table's
-        dirty pairs — traces appended to since the last sweep, plus any
-        controls never swept — and reads everything else from the table,
-        byte-identical to a cold full sweep.  A cold sweep materializes
-        all its frames from one sequential backend scan.
+        The sweep drains the materialized table's dirty pairs — traces
+        appended to since the last sweep, plus any controls never swept —
+        and reads everything else from the table, byte-identical to
+        :func:`reference_sweep`.  A cold sweep materializes all its frames
+        from one sequential backend scan.
         """
-        if self.materializer is not None:
-            return [
-                result
-                for result, __ in self.materializer.sweep(
-                    controls, trace_ids=trace_ids
-                )
-            ]
-        results: List[ComplianceResult] = []
-        if trace_ids is None and self.store.indexed:
-            projection = self._projection_for(controls)
-            grouped = None
-            applied: Optional[FrozenSet[str]] = None
-            for trace_id in self.store.app_ids():
-                frame = (
-                    self._cached_frame(trace_id, projection)
-                    if self.share_contexts
-                    else None
-                )
-                if frame is None:
-                    if grouped is None:
-                        grouped, applied = self._grouped_records(projection)
-                    self.graph_builds += 1
-                    frame = self._adopt_frame(
-                        trace_id,
-                        graph_from_records(
-                            grouped.get(trace_id, ()), name=trace_id
-                        ),
-                        projection=applied,
-                    )
-                for control in controls:
-                    results.append(
-                        _check_with_frame(
-                            self.engine, control, frame, None,
-                            self.observable_types,
-                        )
-                    )
-        else:
-            ids = (
-                list(trace_ids) if trace_ids is not None
-                else self.store.app_ids()
+        return [
+            result
+            for result, __ in self.materializer.sweep(
+                controls, trace_ids=trace_ids
             )
-            for trace_id in ids:
-                frame = self._frame_for(trace_id)
-                for control in controls:
-                    results.append(
-                        _check_with_frame(
-                            self.engine, control, frame, None,
-                            self.observable_types,
-                        )
-                    )
-        return results
+        ]
 
     # -- reporting ------------------------------------------------------------------
 

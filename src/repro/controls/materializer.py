@@ -26,7 +26,8 @@ Every existing evaluation style is a *view* over this one table:
 Because a clean pair's stored verdict is exactly what re-evaluating the
 unchanged trace would produce (evaluation is deterministic and
 ``checked_at`` is a function of the trace), the table stays byte-identical
-to a cold full sweep — the differential interleaving suite asserts this.
+to a cold full sweep — the differential interleaving suite asserts this
+against :func:`~repro.controls.evaluator.reference_sweep`.
 
 Each stored verdict is also kept JSON-encoded (``json.dumps`` of its
 :meth:`~repro.controls.status.ComplianceResult.to_payload`), encoded once

@@ -19,8 +19,9 @@ audit record of last resort:
    has a cursor past the recovered ``last_seq``, and never holds a
    verdict for a trace the recovered store does not contain.
 4. **Convergence** — a sweep over the recovered store (through whatever
-   snapshot survived) is byte-identical to a cold sweep by a
-   never-crashed oracle evaluator over exactly the surviving records.
+   snapshot survived) is byte-identical to
+   :func:`~repro.controls.evaluator.reference_sweep` over a never-crashed
+   store of exactly the surviving records.
 
 Every violation raises :class:`CheckFailure` whose message carries the
 replay seed and the plan's fault log, so a CI failure reproduces with
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.controls.evaluator import ComplianceEvaluator, reference_sweep
 from repro.errors import StoreError
 from repro.faults.backend import FaultyBackend
 from repro.faults.plan import FaultInjected, FaultPlan, SimulatedCrash
@@ -437,12 +438,12 @@ def run_schedule(
     for record in acked_records:
         if record.record_id in surviving_ids:
             oracle_store.append(record)
-    oracle_eval = ComplianceEvaluator(
-        oracle_store, scenario.xom, scenario.vocabulary,
-        share_contexts=False,
-    )
     got = _norm(recovered_eval.run(controls))
-    want = _norm(oracle_eval.run(controls))
+    want = _norm(
+        reference_sweep(
+            oracle_store, scenario.xom, scenario.vocabulary, controls
+        )
+    )
     if got != want:
         raise fail(
             "post-recovery sweep diverged from the never-crashed oracle "

@@ -46,7 +46,6 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 from repro.capture.correlation import CorrelationAnalytics
 from repro.capture.events import ApplicationEvent
 from repro.capture.recorder import RecorderClient
-from repro.faults.points import crash_point
 from repro.ids import IdFactory
 from repro.model.records import ProvenanceRecord, RelationRecord
 from repro.store.store import ProvenanceStore
@@ -89,12 +88,9 @@ class IngestLane:
         owns_store: whether the lane owns (and must flush + close) its
             store handle — True for forked SQLite handles.
 
-    Each batch fires the crash point ``sharded.append.shard<index>``,
-    named like the sharded backend's own per-shard append points so the
-    chaos harness can crash a specific lane.  The lane store's one-shard
-    wrapper also fires ``sharded.append.shard0`` and
-    ``sharded.flush.shard0`` on every row and flush, whatever the lane's
-    index.
+    The lane store's one-shard wrapper fires ``sharded.append.shard<index>``
+    before each row and ``sharded.flush.shard<index>`` before each flush,
+    so a fault plan can crash one lane by its shard.
     """
 
     def __init__(
@@ -110,7 +106,6 @@ class IngestLane:
         self.store = store
         self.lock = threading.Lock()
         self.owns_store = owns_store
-        self.crash_tag = "sharded.append.shard%d" % index
         self.recorder = (
             RecorderClient(store, mapping) if mapping is not None else None
         )
@@ -151,12 +146,6 @@ class IngestLane:
 
     def ingest(self, events: Sequence[ApplicationEvent]) -> LaneResult:
         """Run one routed batch through this lane's pipeline."""
-        # Lane appends go through the lane's one-shard store, whose
-        # wrapper numbers its only shard 0, not through the global
-        # sharded backend; fire this shard's own append point here,
-        # before any append of the batch lands (a crashed batch is
-        # all-or-nothing and a re-send after reopen dedups cleanly).
-        crash_point(self.crash_tag)
         stats = self.recorder.stats
         before = (
             stats.recorded,

@@ -89,6 +89,7 @@ from repro.errors import ServiceError
 from repro.faults.points import crash_point
 from repro.service.lanes import IngestLane
 from repro.service.transport import IngestReply
+from repro.store.backends import ShardedBackend
 from repro.store.cursor import VectorCursor, cursor_to_wire
 from repro.store.store import ProvenanceStore
 
@@ -175,13 +176,7 @@ class ComplianceRuntime:
             observable_types=observable_types,
             execution_mode=execution_mode,
         )
-        materializer = self.evaluator.materializer
-        if materializer is None:
-            raise ServiceError(
-                "ComplianceRuntime requires an incremental evaluator "
-                "(share_contexts and incremental enabled)"
-            )
-        self.materializer = materializer
+        self.materializer = self.evaluator.materializer
         self._mapping = mapping
         self._correlation_rules: Sequence = list(correlation_rules)
         #: one ingest lane per shard, built in :meth:`open`.
@@ -262,9 +257,12 @@ class ComplianceRuntime:
         SQLite connection onto the shard file, or the memory backend
         itself (safe under the lane lock: its lists only ever grow, and
         readers copy them by slice).  A lane owns — flushes and closes —
-        exactly the handles it forked.  The lanes share one relation-id
-        factory that continues the stored ``REL<n>`` sequence; seeding it
-        is one backend aggregate, and building the lanes reads no rows.
+        exactly the handles it forked.  A lane's one-shard store fires the
+        crash points of the shard it writes
+        (:meth:`~repro.store.backends.sharded.ShardedBackend.of_shard`).
+        The lanes share one relation-id factory that continues the stored
+        ``REL<n>`` sequence; seeding it is one backend aggregate, and
+        building the lanes reads no rows.
         """
         rel_ids = (
             relation_ids(self.store) if self._correlation_rules else None
@@ -285,8 +283,7 @@ class ComplianceRuntime:
                 index,
                 ProvenanceStore(
                     model=self.store.model,
-                    backend=handle,
-                    fast_codec=self.store.codec is not None,
+                    backend=ShardedBackend.of_shard(handle, index),
                 ),
                 mapping=self._mapping,
                 correlation_rules=self._correlation_rules,

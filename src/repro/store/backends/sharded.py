@@ -32,6 +32,9 @@ every code path above the backend is the sharded one.
   let a :class:`~repro.faults.plan.FaultPlan` kill one shard mid-flush
   while the others survive; shards flush in index order, so a crash at
   shard *i* leaves shards ``< i`` durable and shards ``>= i`` staged.
+  A one-shard wrapper over shard *i* of a wider store
+  (:meth:`ShardedBackend.of_shard`, a served runtime's ingest lane)
+  fires shard *i*'s points, not shard 0's.
 
 Auxiliary state (verdict snapshots) lives on shard 0 — it is global to
 the store, not per-partition, and keeping one copy means one commit.
@@ -91,14 +94,28 @@ class ShardedBackend(StorageBackend):
         if not children:
             raise BackendError("sharded backend needs at least one child")
         self._children: Tuple[StorageBackend, ...] = tuple(children)
-        n = len(self._children)
+        self._name_crash_points(range(len(self._children)))
+        self._decoder = None
+
+    def _name_crash_points(self, indices: Sequence[int]) -> None:
         self._flush_points = tuple(
-            "sharded.flush.shard%d" % i for i in range(n)
+            "sharded.flush.shard%d" % i for i in indices
         )
         self._append_points = tuple(
-            "sharded.append.shard%d" % i for i in range(n)
+            "sharded.append.shard%d" % i for i in indices
         )
-        self._decoder = None
+
+    @classmethod
+    def of_shard(cls, child: StorageBackend, index: int) -> "ShardedBackend":
+        """Shard *index* of a wider store, wrapped on its own.
+
+        The wrapper has one shard, but its crash points carry *index*:
+        a fault plan aimed at ``sharded.append.shard<index>`` hits this
+        wrapper and no wrapper over another shard of the same store.
+        """
+        backend = cls([child])
+        backend._name_crash_points((index,))
+        return backend
 
     @classmethod
     def for_sqlite(

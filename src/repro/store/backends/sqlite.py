@@ -27,8 +27,9 @@ Throughput and latency choices:
 - **Lazy decoding with an LRU record cache**: rows are only materialized
   into records when fetched, and the hot ids (point lookups, fresh
   appends, records a sibling handle committed and handed over through
-  :meth:`cache_records`) stay cached.  Full scans read through the cache
-  but do not populate it, so sweeps cannot evict the hot set.
+  :meth:`cache_records`) stay cached.  Scans, projected ones included,
+  read through the cache but do not populate it, so sweeps cannot evict
+  the hot set.
 - **The table is the change log**: the store never deletes, so ``rowid``
   is exactly the row's 1-based append position — the backend-neutral
   sequence number.  :meth:`changes_since` is a ``rowid > ?`` tail scan,
@@ -490,10 +491,15 @@ class SQLiteBackend(StorageBackend):
             return None
 
         def generate() -> Iterator[ProvenanceRecord]:
-            # No cache read-through: a projected record must never leak
-            # into (or be served from) the full-record cache.
+            # Reads through the cache, like iter_records: a cached record
+            # is full, a superset of any projection.  A projected record
+            # never enters the cache.
+            cache = self._cache
             for row, cols in self._iter_rows_with_cols():
-                yield self._materialize(row, cols, projection=attributes)
+                cached = cache.get(row.record_id)
+                yield cached if cached is not None else self._materialize(
+                    row, cols, projection=attributes
+                )
 
         return generate()
 

@@ -71,7 +71,7 @@ from repro.store.backends import (
 from repro.store.columnar import ColumnarCodec
 from repro.store.cursor import VectorCursor
 from repro.store.query import RecordQuery
-from repro.store.xmlcodec import StoredRow, XmlCodec, decode_row, encode_row
+from repro.store.xmlcodec import StoredRow, XmlCodec
 
 BackendSpec = Union[None, str, StorageBackend]
 
@@ -89,10 +89,10 @@ class ProvenanceStore:
             in-memory default.  Anything but a
             :class:`~repro.store.backends.sharded.ShardedBackend` is
             wrapped as its single shard.
-        fast_codec: use the compiled per-(CLASS, record-type) XML codecs
-            (:class:`~repro.store.xmlcodec.XmlCodec`) for row encode/decode.
-            Byte-identical to the ElementTree path; disable only to measure
-            the oracle path (the ingestion benchmark's baseline).
+
+    Rows are encoded and decoded by the compiled per-(CLASS, record-type)
+    codecs of :class:`~repro.store.xmlcodec.XmlCodec`, which fall back to
+    the ElementTree reference codec for anything they do not cover.
     """
 
     def __init__(
@@ -100,10 +100,9 @@ class ProvenanceStore:
         model: Optional[ProvenanceDataModel] = None,
         indexed: bool = True,
         backend: BackendSpec = None,
-        fast_codec: bool = True,
     ) -> None:
         self.model = model
-        self.codec: Optional[XmlCodec] = XmlCodec(model) if fast_codec else None
+        self.codec = XmlCodec(model)
         self._indexed = indexed
         if backend is None:
             backend = create_backend("memory")
@@ -113,11 +112,9 @@ class ProvenanceStore:
             backend = ShardedBackend([backend])
         self._backend: ShardedBackend = backend
         self._backend.set_decoder(self._decode)
-        # Columnar sidecar: only worthwhile when the backend persists it,
-        # and only sound when the canonical (fast) encoder produced the
-        # rows — the oracle-codec ablation path stays XML-only.
+        # Columnar sidecar: only worthwhile when the backend persists it.
         self.columnar: Optional[ColumnarCodec] = None
-        if fast_codec and self._backend.accepts_cols():
+        if self._backend.accepts_cols():
             self.columnar = ColumnarCodec(model)
             self._backend.bind_columnar(self.columnar)
         self._observers: List[Callable[[ProvenanceRecord], None]] = []
@@ -134,14 +131,10 @@ class ProvenanceStore:
         return self._indexed
 
     def _decode(self, row: StoredRow) -> ProvenanceRecord:
-        if self.codec is not None:
-            return self.codec.decode_row(row)
-        return decode_row(row, self.model)
+        return self.codec.decode_row(row)
 
     def _encode(self, record: ProvenanceRecord) -> StoredRow:
-        if self.codec is not None:
-            return self.codec.encode_row(record)
-        return encode_row(record)
+        return self.codec.encode_row(record)
 
     # -- append ------------------------------------------------------------
 

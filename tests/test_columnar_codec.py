@@ -443,15 +443,21 @@ class TestProjectedSweeps:
         workload = hiring.workload()
         plan = ViolationPlan.uniform(list(hiring.VIOLATION_KINDS), 0.3)
         memory_sim = workload.simulate(cases=8, seed=11, violations=plan)
+        path = str(tmp_path / "w.db")
         sqlite_sim = workload.simulate(
-            cases=8, seed=11, violations=plan,
-            backend=SQLiteBackend(str(tmp_path / "w.db")),
+            cases=8, seed=11, violations=plan, backend=SQLiteBackend(path),
+        )
+        # Sweep over a reopened store: the writing handle's record cache
+        # holds every row in full, and the projected scan would serve it.
+        sqlite_sim.store.close()
+        reopened = ProvenanceStore(
+            model=sqlite_sim.store.model, backend=SQLiteBackend(path)
         )
         expected = ComplianceEvaluator(
             memory_sim.store, memory_sim.xom, memory_sim.vocabulary
         ).run(memory_sim.controls)
         evaluator = ComplianceEvaluator(
-            sqlite_sim.store, sqlite_sim.xom, sqlite_sim.vocabulary
+            reopened, sqlite_sim.xom, sqlite_sim.vocabulary
         )
         actual = evaluator.run(sqlite_sim.controls)
         assert [
@@ -461,4 +467,35 @@ class TestProjectedSweeps:
         # bounded attribute read sets); the memory sweep above, over full
         # records, is its unprojected reference.
         assert evaluator.projected_sweeps >= 1
-        sqlite_sim.store.close()
+        reopened.close()
+
+    def test_projected_scan_reads_the_cache_and_never_fills_it(
+        self, tmp_path
+    ):
+        """A cached record is full, a superset of any projection, so the
+        scan serves it; a record the scan projected never enters the
+        cache, so a later point read still gets every attribute."""
+        model = fuzz_model()
+        path = str(tmp_path / "p.db")
+        store = ProvenanceStore(model=model, backend=SQLiteBackend(path))
+        for app_id, reqid in (("App01", "R1"), ("App02", "R2")):
+            store.append(
+                DataRecord.create(
+                    "D-" + app_id, app_id, "jobrequisition",
+                    attributes={"reqid": reqid, "type": "new"},
+                )
+            )
+        store.close()
+        backend = SQLiteBackend(path)
+        reopened = ProvenanceStore(model=model, backend=backend)
+        hot = reopened.get("D-App01")
+        scanned = {
+            record.record_id: record
+            for record in backend.iter_records_projected(frozenset({"type"}))
+        }
+        assert scanned["D-App01"] is hot
+        assert scanned["D-App02"].attributes == {"type": "new"}
+        assert reopened.get("D-App02").attributes == {
+            "reqid": "R2", "type": "new",
+        }
+        reopened.close()

@@ -203,13 +203,11 @@ def _rules():
     ]
 
 
-def _run(store, model, use_planner):
-    analytics = CorrelationAnalytics(
-        store, model, use_planner=use_planner
-    )
+def _run(store, model, naive=False):
+    analytics = CorrelationAnalytics(store, model)
     for rule in _rules():
         analytics.add_rule(rule)
-    created = analytics.run()
+    created = analytics.run_naive() if naive else analytics.run()
     return created, analytics.stats
 
 
@@ -222,8 +220,8 @@ class TestPlannerEquivalence:
             planned_store = _random_store(random.Random(seed), model)
             naive_store = _random_store(random.Random(seed), model)
             assert planned_store.rows() == naive_store.rows()
-            planned, __ = _run(planned_store, model, use_planner=True)
-            naive, __ = _run(naive_store, model, use_planner=False)
+            planned, __ = _run(planned_store, model)
+            naive, __ = _run(naive_store, model, naive=True)
             assert [r.record_id for r in planned] == [
                 r.record_id for r in naive
             ]
@@ -240,8 +238,8 @@ class TestPlannerEquivalence:
             naive_store = _random_store(
                 random.Random(seed), model, unhashable=True
             )
-            planned, stats = _run(planned_store, model, use_planner=True)
-            naive, __ = _run(naive_store, model, use_planner=False)
+            planned, stats = _run(planned_store, model)
+            naive, __ = _run(naive_store, model, naive=True)
             assert planned_store.rows() == naive_store.rows()
             if any(
                 isinstance(r.get("author_email"), list)
@@ -253,8 +251,8 @@ class TestPlannerEquivalence:
     def test_rerun_is_idempotent(self):
         model = _model()
         store = _random_store(random.Random(3), model)
-        first, __ = _run(store, model, use_planner=True)
-        again, stats = _run(store, model, use_planner=True)
+        first, __ = _run(store, model)
+        again, stats = _run(store, model)
         assert again == []
         assert stats.pairs_emitted == 0
 
@@ -263,7 +261,7 @@ class TestStatsAccounting:
     def test_rule_classification_counts(self):
         model = _model()
         store = _random_store(random.Random(1), model)
-        __, stats = _run(store, model, use_planner=True)
+        __, stats = _run(store, model)
         assert stats.rules_hash_join == 1
         assert stats.rules_bucket == 1
         assert stats.rules_pairwise == 1
@@ -272,7 +270,7 @@ class TestStatsAccounting:
     def test_hash_join_considers_fewer_pairs_than_naive(self):
         model = _model()
         store = _random_store(random.Random(2), model)
-        __, stats = _run(store, model, use_planner=True)
+        __, stats = _run(store, model)
         # The join probes only key-matched pairs; the product and pairwise
         # rules scan everything, so considered < naive strictly requires
         # the join to have pruned something.
@@ -283,13 +281,13 @@ class TestStatsAccounting:
     def test_emitted_matches_created_relations(self):
         model = _model()
         store = _random_store(random.Random(4), model)
-        created, stats = _run(store, model, use_planner=True)
+        created, stats = _run(store, model)
         assert stats.pairs_emitted == len(created)
 
     def test_naive_run_counts_considered_equal_to_naive(self):
         model = _model()
         store = _random_store(random.Random(5), model)
-        __, stats = _run(store, model, use_planner=False)
+        __, stats = _run(store, model, naive=True)
         # SequenceRule pairs count 1:1 on both ledgers, and the cartesian
         # scan considers exactly what it enumerates.
         assert stats.pairs_considered == stats.pairs_naive
@@ -298,7 +296,7 @@ class TestStatsAccounting:
     def test_as_dict_round_trips_every_field(self):
         model = _model()
         store = _random_store(random.Random(6), model)
-        __, stats = _run(store, model, use_planner=True)
+        __, stats = _run(store, model)
         payload = stats.as_dict()
         assert payload["pairs_reduction"] == stats.pairs_reduction
         for field in (

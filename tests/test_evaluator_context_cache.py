@@ -14,10 +14,12 @@ import math
 import pytest
 
 import repro.controls.evaluator as evaluator_module
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.controls.evaluator import ComplianceEvaluator, reference_sweep
 from repro.graph.build import build_trace_graph
-from repro.processes import hiring
+from repro.processes import expenses, hiring, incidents, procurement
 from repro.processes.violations import ViolationPlan
+from repro.store.backends import ShardedBackend
+from repro.store.store import ProvenanceStore
 
 
 @pytest.fixture
@@ -103,12 +105,6 @@ class TestCheckTraceCaching:
         evaluator.check_trace(sim.controls[1], trace_id)
         assert evaluator.graph_builds == 3
 
-    def test_explicit_graph_skips_cache(self, sim, evaluator):
-        trace_id = sim.store.app_ids()[0]
-        graph = build_trace_graph(sim.store, trace_id)
-        evaluator.check_trace(sim.controls[0], trace_id, graph=graph)
-        assert evaluator.graph_builds == 0
-
 
 class TestInvalidation:
     def test_append_invalidates_only_touched_trace(self, sim, evaluator):
@@ -140,17 +136,6 @@ class TestInvalidation:
         evaluator.run(sim.controls)
         assert evaluator.graph_builds == 2 * len(sim.store.app_ids())
 
-    def test_share_contexts_off_rebuilds_every_check(self, sim):
-        rebuilding = ComplianceEvaluator(
-            sim.store, sim.xom, sim.vocabulary,
-            observable_types=sim.observable_types,
-            share_contexts=False,
-        )
-        trace_id = sim.store.app_ids()[0]
-        rebuilding.check_trace(sim.controls[0], trace_id)
-        rebuilding.check_trace(sim.controls[0], trace_id)
-        assert rebuilding.graph_builds == 2
-
 
 class TestSweepParity:
     def test_modes_produce_identical_rows(self, sim):
@@ -161,9 +146,57 @@ class TestSweepParity:
             )
             return _normalize(ev.run(sim.controls))
 
-        reference = rows(execution_mode="interpret", share_contexts=False)
+        reference = _normalize(
+            reference_sweep(
+                sim.store, sim.xom, sim.vocabulary, sim.controls,
+                observable_types=sim.observable_types,
+                execution_mode="interpret",
+            )
+        )
         assert rows(execution_mode="interpret") == reference
         assert rows(execution_mode="compiled") == reference
+
+    @pytest.mark.parametrize(
+        "module", [expenses, hiring, incidents, procurement],
+        ids=lambda module: module.__name__.rsplit(".", 1)[-1],
+    )
+    def test_projected_frames_match_reference_sweep_on_sqlite(
+        self, module, tmp_path
+    ):
+        """Frames a cold sweep builds from projected records give the
+        rows :func:`reference_sweep` gets from full records.  Every
+        workload but incidents bounds its controls' read set, so its
+        cold sweep takes the projected scan.  The sweep runs over a
+        reopened store: the writing handle's record cache holds every
+        row in full, and the projected scan would serve those."""
+        workload = module.workload()
+        path = str(tmp_path / "p.db")
+        sim = workload.simulate(
+            cases=60,
+            seed=11,
+            violations=ViolationPlan.uniform(
+                list(workload.violation_kinds), 0.3
+            ),
+            backend=ShardedBackend.for_sqlite(path, 4),
+        )
+        sim.store.close()
+        store = ProvenanceStore(
+            model=sim.store.model,
+            backend=ShardedBackend.for_sqlite(path, 4),
+        )
+        evaluator = ComplianceEvaluator(
+            store, sim.xom, sim.vocabulary,
+            observable_types=sim.observable_types,
+        )
+        swept = _normalize(evaluator.run(sim.controls))
+        assert evaluator.projected_sweeps == (module is not incidents)
+        assert swept == _normalize(
+            reference_sweep(
+                store, sim.xom, sim.vocabulary, sim.controls,
+                observable_types=sim.observable_types,
+            )
+        )
+        store.close()
 
     def test_restricted_trace_ids_keep_row_order(self, sim, evaluator):
         ids = sim.store.app_ids()[:2]

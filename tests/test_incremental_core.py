@@ -22,7 +22,7 @@ from repro.controls.authoring import ControlAuthoringTool
 from repro.controls.control import ControlSeverity
 from repro.controls.dashboard import ComplianceDashboard
 from repro.controls.deployment import ControlDeployment
-from repro.controls.evaluator import ComplianceEvaluator
+from repro.controls.evaluator import ComplianceEvaluator, reference_sweep
 from repro.controls.status import ComplianceStatus
 from repro.service import ComplianceRuntime
 from repro.store.backends import SQLiteBackend
@@ -269,13 +269,13 @@ class TestMaterializer:
         controls = tool.deployed_controls()
         incremental = ComplianceEvaluator(store, hiring_xom,
                                           hiring_vocabulary)
-        cold = ComplianceEvaluator(
-            store, hiring_xom, hiring_vocabulary, share_contexts=False
+        cold = norm(
+            reference_sweep(store, hiring_xom, hiring_vocabulary, controls)
         )
-        assert norm(incremental.run(controls)) == norm(cold.run(controls))
+        assert norm(incremental.run(controls)) == cold
         # Second sweep: zero evaluations, same table.
         before = incremental.materializer.refreshes
-        assert norm(incremental.run(controls)) == norm(cold.run(controls))
+        assert norm(incremental.run(controls)) == cold
         assert incremental.materializer.refreshes == before
 
     def test_interrupted_sweep_leaves_its_pairs_dirty(
@@ -299,10 +299,9 @@ class TestMaterializer:
             evaluator.run(controls)
         evaluator.evaluate_pair = real_evaluate
         assert evaluator.materializer.dirty_count == len(controls)
-        cold = ComplianceEvaluator(
-            store, hiring_xom, hiring_vocabulary, share_contexts=False
+        assert norm(evaluator.run(controls)) == norm(
+            reference_sweep(store, hiring_xom, hiring_vocabulary, controls)
         )
-        assert norm(evaluator.run(controls)) == norm(cold.run(controls))
         healed = evaluator.materializer.latest("gm-approval", "App02")
         assert healed.status is ComplianceStatus.SATISFIED
 
@@ -451,9 +450,12 @@ class TestDifferentialIdentity:
             rng = derive_rng(f"incremental-interleavings:{iteration}")
             store = ProvenanceStore(model=hiring_model, indexed=True)
             live = ComplianceEvaluator(store, hiring_xom, hiring_vocabulary)
-            cold = ComplianceEvaluator(
-                store, hiring_xom, hiring_vocabulary, share_contexts=False
-            )  # stateless: every call is a cold evaluation
+
+            def cold(swept_controls, trace_ids=None):
+                return reference_sweep(
+                    store, hiring_xom, hiring_vocabulary, swept_controls,
+                    trace_ids=trace_ids,
+                )
             runtime = ComplianceRuntime(
                 store, hiring_xom, hiring_vocabulary, controls
             )
@@ -476,7 +478,7 @@ class TestDifferentialIdentity:
                 expected = swept(live.materializer)
                 del transitions[:]
                 assert norm(live.run(controls)) == \
-                    norm(cold.run(controls)), label
+                    norm(cold(controls)), label
                 assert transitions == expected, label
 
             def check_served(label):
@@ -489,7 +491,7 @@ class TestDifferentialIdentity:
                 ]
                 assert fed == expected, label
                 assert norm([r for r, __ in rows]) == \
-                    norm(cold.run(controls)), label
+                    norm(cold(controls)), label
                 for result, encoded in rows:
                     assert encoded == json.dumps(
                         result.to_payload()
@@ -510,7 +512,7 @@ class TestDifferentialIdentity:
                     trace_id = rng.choice(store.app_ids())
                     control = rng.choice(controls)
                     assert norm([live.check_trace(control, trace_id)]) == \
-                        norm([cold.check_trace(control, trace_id)]), label
+                        norm(cold([control], [trace_id])), label
                 elif roll < 0.17:
                     check_served(label)
                 elif roll < 0.19:
@@ -581,11 +583,10 @@ class TestDifferentialIdentity:
                 t for __, t in second.materializer._dirty
             ) == {"App99"}
             got = second.run(controls)
-            cold = ComplianceEvaluator(
-                reopened, hiring_xom, hiring_vocabulary,
-                share_contexts=False,
+            cold = reference_sweep(
+                reopened, hiring_xom, hiring_vocabulary, controls
             )
-            assert norm(got) == norm(cold.run(controls)), \
+            assert norm(got) == norm(cold), \
                 f"iteration {iteration}"
             assert second.materializer.refreshes == len(controls)
             reopened.close()

@@ -915,6 +915,35 @@ class TestLaneHandles:
         runtime.shutdown()
 
 
+class TestLaneCrashPoints:
+    """A lane's one-shard store fires the crash points of the shard it
+    writes, so a fault plan aimed at one shard kills only its lane."""
+
+    @pytest.mark.parametrize("point", ["append", "flush"])
+    @pytest.mark.parametrize("target", [0, 2])
+    def test_a_shard_point_fires_only_in_its_lane(
+        self, tmp_path, point, target
+    ):
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(
+            workload, backend=_sqlite_backend(str(tmp_path / "c.db"), 4)
+        )
+        runtime.open()
+        events = [
+            event for event in _event_stream(workload, cases=12)
+            if runtime._lane_for(event) == 2
+        ]
+        assert events
+        plan = FaultPlan(seed=1).crash_at(f"sharded.{point}.shard{target}")
+        with active_plan(plan):
+            if target == 2:
+                with pytest.raises(SimulatedCrash):
+                    runtime.ingest(events)
+            else:
+                assert runtime.ingest(events).recorded > 0
+        runtime.shutdown()
+
+
 class TestHandoffDecodes:
     """Lanes hand the records they commit to the global handle: a tick
     or read after in-process ingest decodes nothing, and a row another
@@ -975,6 +1004,30 @@ class TestHandoffDecodes:
         assert [r.to_payload() for r in verdicts] == json.loads(
             _cold_sweep_payloads(sim)
         )
+        runtime.shutdown()
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_first_read_of_a_young_store_decodes_nothing(
+        self, tmp_path, shards, monkeypatch
+    ):
+        """Every trace of a young store lacks a frame, so the first read
+        builds them all from one projected scan; the scan serves the
+        records the lanes handed over instead of decoding their rows."""
+        from tests.test_store_query import count_decodes
+
+        workload = hiring.workload()
+        sim, runtime = _open_runtime(
+            workload,
+            backend=_sqlite_backend(str(tmp_path / "young.db"), shards),
+        )
+        runtime.open()
+        runtime.ingest(_event_stream(workload, cases=6, seed=37))
+        scans = runtime.evaluator.projected_sweeps
+        counts = count_decodes(monkeypatch)
+        runtime.verdicts()
+        assert runtime.evaluator.projected_sweeps == scans + 1
+        assert counts["decodes"] == 0
+        assert _served_payloads(runtime) == _cold_sweep_payloads(sim)
         runtime.shutdown()
 
     def test_an_overflowing_handoff_drops_the_oldest_records(

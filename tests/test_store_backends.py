@@ -25,7 +25,7 @@ from repro.controls.evaluator import ComplianceEvaluator
 from repro.errors import BackendError, DuplicateRecordId, RecordNotFound
 from repro.faults import FaultPlan, FaultyBackend
 from repro.model.builder import ModelBuilder
-from repro.model.records import DataRecord, RecordClass, RelationRecord
+from repro.model.records import DataRecord, RecordClass
 from repro.processes import hiring
 from repro.processes.violations import ViolationPlan
 from repro.store.backends import (
@@ -36,6 +36,7 @@ from repro.store.backends import (
 )
 from repro.store.query import RecordQuery
 from repro.store.store import ProvenanceStore
+from repro.store.xmlcodec import decode_row, encode_row
 
 from tests.test_store_store import sample_records
 
@@ -311,14 +312,24 @@ class TestSQLiteSpecifics:
         reopened.close()
 
     def test_oracle_codec_store_pushes_down_physical_facets(self, tmp_path):
+        """A backend with a decoder bound and no columnar codec (as on a
+        SQLite build without JSON support, which never binds one) pushes
+        down only the physical ``class``/``appid`` facets."""
         backend = SQLiteBackend(str(tmp_path / "oracle.db"))
-        store = ProvenanceStore(backend=backend, fast_codec=False)
-        store.extend(sample_records("App01"))
-        store.extend(sample_records("App02"))
+        backend.set_decoder(decode_row)
+        for record in sample_records("App01") + sample_records("App02"):
+            backend.append_row(encode_row(record))
         query = RecordQuery(app_id="App02", entity_type="jobrequisition")
-        assert [r.record_id for r in store.select(query)] == ["D1-App02"]
+        found = backend.query_records(query)
         assert backend.pushdown_queries == 1
-        store.close()
+        # The entity-type facet stayed in Python: a superset came back.
+        assert [r.record_id for r in found] == [
+            "R1-App02", "D1-App02", "E1-App02"
+        ]
+        assert [r.record_id for r in found if query.matches(r)] == [
+            "D1-App02"
+        ]
+        backend.close()
 
     def test_pending_rows_visible_before_flush(self, tmp_path):
         backend = SQLiteBackend(str(tmp_path / "b.db"), batch_size=1000)
